@@ -24,6 +24,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --workspace (every crate's unit and integration tests)"
+cargo test -q --workspace
+
 echo "==> simperf smoke (event-loop throughput floor at N=64)"
 cargo bench -q -p bench --bench simperf -- --smoke
 # The full-mode snapshot (with the N=1024 row) is checked in; the smoke

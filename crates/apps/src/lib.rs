@@ -26,6 +26,7 @@ pub mod failover;
 pub mod grid;
 pub mod kv;
 pub mod loadgen;
+mod outbox;
 pub mod proxy;
 pub mod resp;
 pub mod runner;

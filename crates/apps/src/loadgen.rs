@@ -16,15 +16,17 @@
 //! * optionally a [`PolicyDriver`] toggling Nagle dynamically.
 
 use std::collections::VecDeque;
+use std::io::Write as _;
 
 use e2e_core::RequestTracker;
 use littles::{Nanos, Snapshot};
 use simnet::{Histogram, Pcg32};
-use tcpsim::{App, HostCtx, SocketId, TcpConfig, WakeReason};
+use tcpsim::{App, HostCtx, Payload, SocketId, TcpConfig, WakeReason};
 
 use crate::cost::AppCosts;
 use crate::driver::{AimdDriver, EstimateRecorder, PlaneDriver, PolicyDriver};
-use crate::resp::{encode_get, encode_set, Response, ResponseParser};
+use crate::outbox::Outbox;
+use crate::resp::{encode_get, encode_set_filled, Response, ResponseParser};
 use crate::workload::WorkloadSpec;
 
 const TOKEN_KIND_SHIFT: u32 = 32;
@@ -108,9 +110,8 @@ pub struct LancetClient {
     /// In-flight requests: (arrival time, is_set), FIFO (RESP responses
     /// arrive in order).
     pending: VecDeque<(Nanos, bool)>,
-    backlog: VecDeque<Vec<u8>>,
+    outbox: Outbox,
     call_pending: bool,
-    flush_pending: bool,
     key_counter: u64,
     key_pool: Option<KeyPool>,
 
@@ -161,9 +162,8 @@ impl LancetClient {
             restarts_seen: 0,
             parser: ResponseParser::new(),
             pending: VecDeque::new(),
-            backlog: VecDeque::new(),
+            outbox: Outbox::default(),
             call_pending: false,
-            flush_pending: false,
             key_counter: 0,
             key_pool: None,
             hist: Histogram::new(),
@@ -247,25 +247,33 @@ impl LancetClient {
         b.averages_since(&a)
     }
 
-    fn next_wire(&mut self, ctx: &mut HostCtx<'_>) -> (Vec<u8>, bool) {
+    /// Encodes the next request straight into its one wire allocation.
+    fn next_wire(&mut self, ctx: &mut HostCtx<'_>) -> (Payload, bool) {
         let is_set = self.spec.set_ratio >= 1.0 || ctx.rng.next_f64() < self.spec.set_ratio;
         let key_idx = match self.key_pool.as_mut() {
             Some(pool) => pool.draw(),
             None => self.key_counter % self.spec.key_space as u64,
         };
         self.key_counter += 1;
-        let key = format!("key:{key_idx:012}");
+        let mut key_buf = [0u8; 32];
+        let unused = {
+            let mut cursor = &mut key_buf[..];
+            write!(cursor, "key:{key_idx:012}").expect("key fits its buffer");
+            cursor.len()
+        };
+        let key = &key_buf[..key_buf.len() - unused];
         debug_assert_eq!(key.len(), self.spec.key_size);
         if is_set {
-            let mut value = vec![0u8; self.spec.value_size];
-            // Cheap deterministic fill (contents are irrelevant, but
-            // non-constant data keeps accidental compression-like
-            // shortcuts impossible).
-            let n = 8.min(value.len());
-            ctx.rng.fill_bytes(&mut value[..n]);
-            (encode_set(key.as_bytes(), &value), true)
+            // Cheap deterministic fill of the value's first bytes, in
+            // place (contents are irrelevant, but non-constant data keeps
+            // accidental compression-like shortcuts impossible).
+            let wire = encode_set_filled(key, self.spec.value_size, |value| {
+                let n = 8.min(value.len());
+                ctx.rng.fill_bytes(&mut value[..n]);
+            });
+            (wire, true)
         } else {
-            (encode_get(key.as_bytes()), false)
+            (encode_get(key), false)
         }
     }
 
@@ -282,19 +290,8 @@ impl LancetClient {
         let (wire, is_set) = self.next_wire(ctx);
         self.tracker.create(now, 1);
         ctx.charge_app(self.costs.client_request(wire.len()));
-        if self.backlog.is_empty() {
-            let accepted = if self.use_hints {
-                let hint = self.tracker.snapshot(now);
-                ctx.send_with_hint(sock, &wire, hint)
-            } else {
-                ctx.send(sock, &wire)
-            };
-            if accepted < wire.len() {
-                self.backlog.push_back(wire[accepted..].to_vec());
-            }
-        } else {
-            self.backlog.push_back(wire);
-        }
+        let hint = self.use_hints.then(|| self.tracker.snapshot(now));
+        self.outbox.send(ctx, sock, wire, hint);
         self.pending.push_back((now, is_set));
         self.sent += 1;
         // Self-perpetuating Poisson arrivals.
@@ -309,7 +306,7 @@ impl LancetClient {
             return; // crashed between the wake and this call
         };
         let (data, _) = ctx.recv(sock, usize::MAX);
-        self.parser.feed(&data);
+        self.parser.feed(data);
         while let Some(resp) = self.parser.next_response() {
             let payload = match &resp {
                 Response::Value(v) => v.len(),
@@ -353,23 +350,7 @@ impl LancetClient {
         }
         ctx.call_after(self.tick_period, token(KIND_TICK));
     }
-
-    fn flush(&mut self, ctx: &mut HostCtx<'_>) {
-        self.flush_pending = false;
-        let Some(sock) = self.sock else {
-            return; // crashed between the wake and this call
-        };
-        while let Some(front) = self.backlog.front_mut() {
-            let accepted = ctx.send(sock, front);
-            if accepted < front.len() {
-                front.drain(..accepted);
-                break;
-            }
-            self.backlog.pop_front();
-        }
-    }
 }
-
 
 impl App for LancetClient {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -396,8 +377,7 @@ impl App for LancetClient {
                 }
             }
             WakeReason::Writable => {
-                if !self.backlog.is_empty() && !self.flush_pending {
-                    self.flush_pending = true;
+                if self.outbox.wants_flush() {
                     ctx.call_at(ctx.app_free_at(), token(KIND_FLUSH));
                 }
             }
@@ -416,10 +396,9 @@ impl App for LancetClient {
                     self.tracker.complete(now, lost);
                 }
                 self.pending.clear();
-                self.backlog.clear();
+                self.outbox.clear();
                 self.parser = ResponseParser::new();
                 self.call_pending = false;
-                self.flush_pending = false;
                 self.sock = None;
                 ctx.call_after(self.reconnect_backoff, token(KIND_RECONNECT));
             }
@@ -431,7 +410,8 @@ impl App for LancetClient {
             KIND_ARRIVAL => self.arrival(ctx),
             KIND_PROCESS => self.process(ctx),
             KIND_TICK => self.tick(ctx),
-            KIND_FLUSH => self.flush(ctx),
+            // `None` when crashed between the wake and this call.
+            KIND_FLUSH => self.outbox.flush(ctx, self.sock),
             KIND_RECONNECT => {
                 if self.sock.is_none() {
                     ctx.connect(self.config);

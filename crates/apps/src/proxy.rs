@@ -33,13 +33,14 @@ use std::collections::{BTreeMap, VecDeque};
 use batchpolicy::{AttemptKind, BreakerConfig, RetryConfig, RetryPolicy, UpstreamBreaker};
 use littles::Nanos;
 use simnet::{Histogram, Pcg32};
-use tcpsim::{App, HostCtx, HostId, SocketId, TcpConfig, WakeReason};
+use tcpsim::{App, HostCtx, HostId, Payload, SocketId, TcpConfig, WakeReason};
 
 use crate::cost::AppCosts;
 use crate::driver::ProxyDriver;
+use crate::outbox::Outbox;
 use crate::resp::{
-    encode_get, encode_get_with_id, encode_response, encode_set, encode_set_with_id, Command,
-    CommandParser, Response, ResponseParser,
+    encode_get, encode_get_with_id, encode_set, encode_set_with_id, Command, CommandParser,
+    Replies, Response, ResponseParser,
 };
 
 const TOKEN_KIND_SHIFT: u32 = 32;
@@ -155,23 +156,12 @@ impl ShardRouter {
 }
 
 /// One client-facing connection's state.
+#[derive(Default)]
 struct ClientConn {
     parser: CommandParser,
     call_pending: bool,
     /// Responses (or tails) awaiting client-socket send-buffer space.
-    out_backlog: VecDeque<Vec<u8>>,
-    flush_pending: bool,
-}
-
-impl ClientConn {
-    fn new() -> Self {
-        ClientConn {
-            parser: CommandParser::new(),
-            call_pending: false,
-            out_backlog: VecDeque::new(),
-            flush_pending: false,
-        }
-    }
+    outbox: Outbox,
 }
 
 /// One upstream (proxy → shard) connection's state.
@@ -182,8 +172,7 @@ struct Upstream {
     call_pending: bool,
     /// Commands (or tails) awaiting upstream send-buffer space; also
     /// buffers everything issued before the handshake completes.
-    out_backlog: VecDeque<Vec<u8>>,
-    flush_pending: bool,
+    outbox: Outbox,
     /// Requests awaiting responses from this shard with the time each
     /// command was forwarded, in request order (RESP responses come back
     /// FIFO per connection).
@@ -299,6 +288,7 @@ pub struct ProxyStats {
 /// The sharding proxy application.
 pub struct ProxyApp {
     costs: AppCosts,
+    replies: Replies,
     upstream_config: TcpConfig,
     shard_hosts: Vec<HostId>,
     router: ShardRouter,
@@ -360,6 +350,7 @@ impl ProxyApp {
         let shards = shard_hosts.len();
         ProxyApp {
             costs,
+            replies: Replies::new(),
             upstream_config,
             shard_hosts,
             router,
@@ -453,83 +444,38 @@ impl ProxyApp {
         self.reqs.len()
     }
 
-    /// Writes to a client socket, stashing what the send buffer rejects.
-    fn send_client(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, wire: Vec<u8>) {
-        let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
-        if conn.out_backlog.is_empty() {
-            let sent = ctx.send(sock, &wire);
-            if sent < wire.len() {
-                let conn = self.conns.get_mut(&sock.0).expect("conn");
-                conn.out_backlog.push_back(wire[sent..].to_vec());
-            }
-        } else {
-            conn.out_backlog.push_back(wire);
-        }
+    /// Writes a response to a client socket, stashing what the send
+    /// buffer rejects.
+    fn send_client(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, resp: &Response) {
+        let wire = self.replies.encode_response(resp);
+        let conn = self.conns.entry(sock.0).or_default();
+        conn.outbox.send(ctx, sock, wire, None);
     }
 
     /// Writes to a shard's upstream, buffering while unconnected or
     /// backpressured.
-    fn send_upstream(&mut self, ctx: &mut HostCtx<'_>, shard: usize, wire: Vec<u8>) {
+    fn send_upstream(&mut self, ctx: &mut HostCtx<'_>, shard: usize, wire: Payload) {
         let up = &mut self.ups[shard];
-        if up.connected && up.out_backlog.is_empty() {
-            let sock = up.sock;
-            let sent = ctx.send(sock, &wire);
-            if sent < wire.len() {
-                self.ups[shard].out_backlog.push_back(wire[sent..].to_vec());
-            }
+        if up.connected {
+            up.outbox.send(ctx, up.sock, wire, None);
         } else {
-            up.out_backlog.push_back(wire);
+            up.outbox.queue(wire);
         }
     }
 
-    /// Drains a client socket's write backlog as far as the buffer allows.
-    fn flush_client(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
-        conn.flush_pending = false;
-        while let Some(front) = self
-            .conns
-            .get_mut(&sock.0)
-            .expect("conn")
-            .out_backlog
-            .front_mut()
-        {
-            let sent = ctx.send(sock, front);
-            let done = sent == front.len();
-            let conn = self.conns.get_mut(&sock.0).expect("conn");
-            let front = conn.out_backlog.front_mut().expect("non-empty");
-            if !done {
-                front.drain(..sent);
-                break;
-            }
-            conn.out_backlog.pop_front();
-        }
-    }
-
-    /// Drains a shard upstream's write backlog.
+    /// Drains a shard upstream's write backlog (once connected).
     fn flush_upstream(&mut self, ctx: &mut HostCtx<'_>, shard: usize) {
-        self.ups[shard].flush_pending = false;
-        if !self.ups[shard].connected {
-            return;
-        }
-        let sock = self.ups[shard].sock;
-        while let Some(front) = self.ups[shard].out_backlog.front_mut() {
-            let sent = ctx.send(sock, front);
-            if sent < front.len() {
-                front.drain(..sent);
-                break;
-            }
-            self.ups[shard].out_backlog.pop_front();
-        }
+        let up = &mut self.ups[shard];
+        up.outbox.flush(ctx, up.connected.then_some(up.sock));
     }
 
     /// One processing pass over a client connection: read, route every
     /// complete command to its shard, remember who to answer.
     fn process_client(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
+        let conn = self.conns.entry(sock.0).or_default();
         conn.call_pending = false;
         let (data, _msgs) = ctx.recv(sock, usize::MAX);
-        let conn = self.conns.get_mut(&sock.0).expect("just inserted");
-        conn.parser.feed(&data);
+        conn.parser.feed(data);
         while let Some(cmd) = self
             .conns
             .get_mut(&sock.0)
@@ -640,7 +586,7 @@ impl ProxyApp {
         }
         let sock = self.ups[shard].sock;
         let (data, _msgs) = ctx.recv(sock, usize::MAX);
-        self.ups[shard].parser.feed(&data);
+        self.ups[shard].parser.feed(data);
         while let Some(resp) = self.ups[shard].parser.next_response() {
             let payload = match &resp {
                 Response::Value(v) => v.len(),
@@ -666,7 +612,7 @@ impl ProxyApp {
                     for a in req.live.iter().filter(|a| a.shard != shard) {
                         self.zombies.push((id, a.shard, a.deadline));
                     }
-                    self.send_client(ctx, req.client, encode_response(&resp));
+                    self.send_client(ctx, req.client, &resp);
                     self.stats.responses += 1;
                 }
                 None => {
@@ -832,7 +778,7 @@ impl ProxyApp {
             return;
         };
         self.stats.failed += 1;
-        self.send_client(ctx, req.client, encode_response(&Response::Nil));
+        self.send_client(ctx, req.client, &Response::Nil);
     }
 
     /// A scheduled retry fires: issue the next attempt, alternating
@@ -939,8 +885,7 @@ impl ProxyApp {
             return;
         }
         up.parser = ResponseParser::new();
-        up.out_backlog.clear();
-        up.flush_pending = false;
+        up.outbox.clear();
         let drained: Vec<u64> = up.waiting.drain(..).map(|(id, _)| id).collect();
         // The reset counts as one breaker failure; zombies on this shard
         // can never be answered now, so drop them rather than letting
@@ -1004,8 +949,7 @@ impl App for ProxyApp {
                 connected: false,
                 parser: ResponseParser::new(),
                 call_pending: false,
-                out_backlog: VecDeque::new(),
-                flush_pending: false,
+                outbox: Outbox::default(),
                 waiting: VecDeque::new(),
                 reconnect_pending: false,
                 reconnect_attempts: 0,
@@ -1032,8 +976,7 @@ impl App for ProxyApp {
                 if let Some(shard) = upstream {
                     self.ups[shard].connected = true;
                     self.ups[shard].reconnect_attempts = 0;
-                    if !self.ups[shard].out_backlog.is_empty() && !self.ups[shard].flush_pending {
-                        self.ups[shard].flush_pending = true;
+                    if self.ups[shard].outbox.wants_flush() {
                         let at = ctx.app_free_at();
                         ctx.call_at(at, token(KIND_UP_FLUSH, shard));
                     }
@@ -1045,7 +988,7 @@ impl App for ProxyApp {
                 }
             }
             WakeReason::Accepted => {
-                self.conns.insert(sock.0, ClientConn::new());
+                self.conns.insert(sock.0, ClientConn::default());
             }
             WakeReason::Readable => match upstream {
                 Some(shard) => {
@@ -1055,7 +998,7 @@ impl App for ProxyApp {
                     }
                 }
                 None => {
-                    let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
+                    let conn = self.conns.entry(sock.0).or_default();
                     if !conn.call_pending {
                         conn.call_pending = true;
                         ctx.wake_app_thread(token(KIND_PROCESS, sock.0));
@@ -1064,19 +1007,14 @@ impl App for ProxyApp {
             },
             WakeReason::Writable => match upstream {
                 Some(shard) => {
-                    if self.ups[shard].connected
-                        && !self.ups[shard].out_backlog.is_empty()
-                        && !self.ups[shard].flush_pending
-                    {
-                        self.ups[shard].flush_pending = true;
+                    if self.ups[shard].connected && self.ups[shard].outbox.wants_flush() {
                         let at = ctx.app_free_at();
                         ctx.call_at(at, token(KIND_UP_FLUSH, shard));
                     }
                 }
                 None => {
-                    let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
-                    if !conn.out_backlog.is_empty() && !conn.flush_pending {
-                        conn.flush_pending = true;
+                    let conn = self.conns.entry(sock.0).or_default();
+                    if conn.outbox.wants_flush() {
                         let at = ctx.app_free_at();
                         ctx.call_at(at, token(KIND_FLUSH, sock.0));
                     }
@@ -1090,7 +1028,10 @@ impl App for ProxyApp {
         let idx = (tok & 0xFFFF_FFFF) as usize;
         match kind {
             KIND_PROCESS => self.process_client(ctx, SocketId(idx)),
-            KIND_FLUSH => self.flush_client(ctx, SocketId(idx)),
+            KIND_FLUSH => {
+                let conn = self.conns.entry(idx).or_default();
+                conn.outbox.flush(ctx, Some(SocketId(idx)));
+            }
             KIND_UP_PROCESS => self.process_upstream(ctx, idx),
             KIND_UP_FLUSH => self.flush_upstream(ctx, idx),
             KIND_TICK => self.tick(ctx),

@@ -21,7 +21,8 @@ use tcpsim::{App, HostCtx, SocketId, Unit, WakeReason};
 use crate::cost::AppCosts;
 use crate::driver::{HintRecorder, ListenerDriver, ListenerPlaneDriver};
 use crate::kv::KvStore;
-use crate::resp::{encode_response, Command, CommandParser};
+use crate::outbox::Outbox;
+use crate::resp::{Command, CommandParser, Replies};
 
 const TOKEN_KIND_SHIFT: u32 = 32;
 const KIND_PROCESS: u64 = 1;
@@ -32,23 +33,12 @@ fn token(kind: u64, sock: usize) -> u64 {
     (kind << TOKEN_KIND_SHIFT) | sock as u64
 }
 
+#[derive(Default)]
 struct Conn {
     parser: CommandParser,
     call_pending: bool,
     /// Responses (or response tails) awaiting send-buffer space.
-    out_backlog: std::collections::VecDeque<Vec<u8>>,
-    flush_pending: bool,
-}
-
-impl Conn {
-    fn new() -> Self {
-        Conn {
-            parser: CommandParser::new(),
-            call_pending: false,
-            out_backlog: std::collections::VecDeque::new(),
-            flush_pending: false,
-        }
-    }
+    outbox: Outbox,
 }
 
 /// Per-run server statistics.
@@ -66,6 +56,7 @@ pub struct ServerStats {
 pub struct RedisServer {
     costs: AppCosts,
     kv: KvStore,
+    replies: Replies,
     /// Live connections, keyed by socket id. BTreeMap, not HashMap: the
     /// tick path iterates connections, and simulation state must iterate
     /// in a deterministic order.
@@ -93,6 +84,7 @@ impl RedisServer {
         RedisServer {
             costs,
             kv: KvStore::new(),
+            replies: Replies::new(),
             conns: BTreeMap::new(),
             batch_hist: Histogram::new(),
             stats: ServerStats::default(),
@@ -152,62 +144,22 @@ impl RedisServer {
             .then(|| Nanos::from_nanos(vals.iter().sum::<u64>() / vals.len() as u64))
     }
 
-    /// Writes a response, stashing whatever the send buffer rejects so
-    /// the byte stream stays intact under backpressure (flushed on
-    /// `Writable`).
-    fn send_or_backlog(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, wire: Vec<u8>) {
-        let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
-        if conn.out_backlog.is_empty() {
-            let sent = ctx.send(sock, &wire);
-            if sent < wire.len() {
-                let conn = self.conns.get_mut(&sock.0).expect("conn");
-                conn.out_backlog.push_back(wire[sent..].to_vec());
-            }
-        } else {
-            conn.out_backlog.push_back(wire);
-        }
-    }
-
-    /// Drains the write backlog as far as the send buffer allows.
-    fn flush(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
-        conn.flush_pending = false;
-        while let Some(front) = self
-            .conns
-            .get_mut(&sock.0)
-            .expect("conn")
-            .out_backlog
-            .front_mut()
-        {
-            let sent = ctx.send(sock, front);
-            let done = sent == front.len();
-            let conn = self.conns.get_mut(&sock.0).expect("conn");
-            let front = conn.out_backlog.front_mut().expect("non-empty");
-            if !done {
-                front.drain(..sent);
-                break;
-            }
-            conn.out_backlog.pop_front();
-        }
-    }
-
     fn process(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
+        let conn = self.conns.entry(sock.0).or_default();
         conn.call_pending = false;
         let (data, _msgs) = ctx.recv(sock, usize::MAX);
-        let conn = self.conns.get_mut(&sock.0).expect("just inserted");
-        conn.parser.feed(&data);
+        conn.parser.feed(data);
 
         let mut batch = 0u64;
-        while let Some(cmd) = self.conns.get_mut(&sock.0).expect("conn").parser.next_command() {
+        while let Some(cmd) = conn.parser.next_command() {
             let payload = match &cmd {
                 Command::Set { key, value, .. } => key.len() + value.len(),
                 Command::Get { key, .. } => key.len(),
             };
             ctx.charge_app(self.costs.server_request(payload));
             let resp = self.kv.execute(cmd);
-            let wire = encode_response(&resp);
-            self.send_or_backlog(ctx, sock, wire);
+            let wire = self.replies.encode_response(&resp);
+            conn.outbox.send(ctx, sock, wire, None);
             batch += 1;
         }
         if batch > 0 {
@@ -231,19 +183,18 @@ impl App for RedisServer {
     fn on_wake(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, reason: WakeReason) {
         match reason {
             WakeReason::Accepted => {
-                self.conns.insert(sock.0, Conn::new());
+                self.conns.insert(sock.0, Conn::default());
             }
             WakeReason::Readable => {
-                let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
+                let conn = self.conns.entry(sock.0).or_default();
                 if !conn.call_pending {
                     conn.call_pending = true;
                     ctx.wake_app_thread(token(KIND_PROCESS, sock.0));
                 }
             }
             WakeReason::Writable => {
-                let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
-                if !conn.out_backlog.is_empty() && !conn.flush_pending {
-                    conn.flush_pending = true;
+                let conn = self.conns.entry(sock.0).or_default();
+                if conn.outbox.wants_flush() {
                     let at = ctx.app_free_at();
                     ctx.call_at(at, token(KIND_FLUSH, sock.0));
                 }
@@ -257,7 +208,10 @@ impl App for RedisServer {
         let sock = SocketId((tok & 0xFFFF_FFFF) as usize);
         match kind {
             KIND_PROCESS => self.process(ctx, sock),
-            KIND_FLUSH => self.flush(ctx, sock),
+            KIND_FLUSH => {
+                let conn = self.conns.entry(sock.0).or_default();
+                conn.outbox.flush(ctx, Some(sock));
+            }
             KIND_TICK => {
                 // Sorted connection order (BTreeMap) keeps the tick path
                 // deterministic however many connections fan in.

@@ -128,7 +128,7 @@ fn bench_resp() {
     let wire = encode_set(&[b'k'; 16], &vec![7u8; 16 * 1024]);
     bench("resp_parse_16KiB_set", 50_000, || {
         let mut p = CommandParser::new();
-        p.feed(&wire);
+        p.feed(wire.clone());
         black_box(p.next_command());
     });
 }

@@ -9,14 +9,27 @@
 //! application `send` call (or an explicit hint) ended — so the instrumented
 //! queues can count in message units as well as bytes (paper §3.3).
 //!
-//! Internally both halves store [`Payload`] chunks rather than flat byte
-//! deques: one application message is one chunk, and segmenting it into
-//! MSS-sized transmissions is O(1) [`Payload::slice`] sub-views per
-//! segment instead of a per-segment byte copy. At the paper's 16 KiB SET
-//! workload this removes two full-message copies per request from the
-//! simulator's hot path; bytes only get copied when a chunk is first
-//! pushed, when a transmission or read genuinely spans chunks, and when
-//! the application drains a multi-segment read into one contiguous view.
+//! Internally both halves store [`Payload`] views rather than flat byte
+//! deques. An application hands `send` a view of the one allocation it
+//! encoded its message into; the send buffer keeps the accepted prefix as
+//! a view of that allocation, and a later push of the adjacent remainder
+//! (a backpressured tail) joins it in place. Segmenting into MSS- or
+//! TSO-sized transmissions is an O(1) [`Payload::slice`] per segment. On
+//! the receive side, in-order views that are adjacent in one allocation
+//! are joined on ingest ([`Payload::try_join`]), so an in-order read of a
+//! message that crossed the network in many segments is again a single
+//! view of the sender's allocation.
+//!
+//! Bytes are copied in exactly two places here, both only when a range
+//! genuinely spans views that are not adjacent:
+//!
+//! * a transmission that spans two pushed messages (Nagle, cork or TSO
+//!   coalescing a message's tail with the next one's head) is gathered
+//!   into one new payload;
+//! * a read that spans such pieces is concatenated once.
+//!
+//! The only other copy on an application message's way from one app to
+//! the next is the app's own encode, which creates the allocation.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -85,14 +98,21 @@ impl SendBuffer {
     }
 
     /// Appends as much of `bytes` as capacity allows; returns the number of
-    /// bytes accepted. The accepted prefix is copied once into a fresh
-    /// chunk; all later segmentation of it is copy-free sub-views.
-    pub fn push(&mut self, bytes: &[u8]) -> usize {
+    /// bytes accepted. The accepted prefix is kept as a view of the
+    /// caller's allocation (no copy); when it continues the previous
+    /// chunk in the same allocation, the two are joined into one chunk.
+    pub fn push(&mut self, bytes: &Payload) -> usize {
         let room = self.capacity.saturating_sub((self.end - self.una) as usize);
         let n = bytes.len().min(room);
         if n > 0 {
-            self.chunks
-                .push_back((self.end, Payload::copy_from_slice(&bytes[..n])));
+            let view = bytes.slice(0, n);
+            let joined = self
+                .chunks
+                .back_mut()
+                .is_some_and(|(_, back)| back.try_join(&view));
+            if !joined {
+                self.chunks.push_back((self.end, view));
+            }
             self.end += n as u64;
         }
         n
@@ -331,14 +351,24 @@ impl RecvBuffer {
         self.capacity.saturating_sub(self.ready_len)
     }
 
+    /// Appends in-order bytes, joining them onto the last ready view when
+    /// the two are adjacent in one allocation.
+    // hot-path: runs per in-order segment; never allocates
     fn push_ready(&mut self, view: Payload) {
         self.ready_len += view.len();
-        self.ready.push_back(view);
+        let joined = self
+            .ready
+            .back_mut()
+            .is_some_and(|back| back.try_join(&view));
+        if !joined {
+            self.ready.push_back(view);
+        }
     }
 
     /// Ingests a segment at stream offset `offset` carrying `data` and the
     /// message boundaries ending within it. In-order data is retained as a
-    /// copy-free view of the segment's payload.
+    /// copy-free view of the segment's payload, joined onto the previous
+    /// in-order view when both come from the same sender allocation.
     // hot-path: runs per delivered data segment
     pub fn ingest(&mut self, offset: u64, data: &Payload, boundaries: &[u64]) -> IngestResult {
         let end = offset + data.len() as u64;
@@ -402,8 +432,10 @@ impl RecvBuffer {
     }
 
     /// Reads up to `max` in-order bytes; returns the bytes and the number
-    /// of whole messages consumed. A read served entirely by one chunk is
-    /// copy-free; a multi-chunk read concatenates once.
+    /// of whole messages consumed. A read served by one ready view — which
+    /// includes every run of segments cut from one sender allocation — is
+    /// copy-free; a read spanning views that are not adjacent
+    /// concatenates once.
     // hot-path: runs per application recv
     pub fn read(&mut self, max: usize) -> (Payload, usize) {
         let n = self.ready_len.min(max);
@@ -434,7 +466,7 @@ impl RecvBuffer {
         if front.len() == n {
             return self.ready.pop_front().expect("front exists");
         }
-        // Spans several chunks: concatenate once.
+        // Spans several views that could not be joined: concatenate once.
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
             let chunk = self.ready.pop_front().expect("ready covers n bytes");
@@ -456,9 +488,9 @@ mod tests {
     #[test]
     fn send_push_respects_capacity() {
         let mut b = SendBuffer::new(10);
-        assert_eq!(b.push(b"hello"), 5);
-        assert_eq!(b.push(b"worldxxx"), 5);
-        assert_eq!(b.push(b"y"), 0);
+        assert_eq!(b.push(&Payload::from_static(b"hello")), 5);
+        assert_eq!(b.push(&Payload::from_static(b"worldxxx")), 5);
+        assert_eq!(b.push(&Payload::from_static(b"y")), 0);
         assert_eq!(b.buffered(), 10);
         assert_eq!(b.room(), 0);
     }
@@ -466,7 +498,7 @@ mod tests {
     #[test]
     fn send_chunks_advance_nxt() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdefgh");
+        b.push(&Payload::from_static(b"abcdefgh"));
         let c1 = b.take_chunk(3).unwrap();
         assert_eq!(&c1.bytes[..], b"abc");
         assert_eq!(c1.offset, 0);
@@ -480,7 +512,7 @@ mod tests {
     #[test]
     fn send_chunk_within_one_push_is_a_view() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdefgh");
+        b.push(&Payload::from_static(b"abcdefgh"));
         let base = b.take_chunk(3).unwrap();
         let more = b.take_chunk(3).unwrap();
         // Same backing allocation: slicing, not copying.
@@ -491,11 +523,44 @@ mod tests {
     }
 
     #[test]
+    fn send_push_keeps_a_view_of_the_callers_allocation() {
+        let msg = Payload::copy_from_slice(b"abcdefgh");
+        let mut b = SendBuffer::new(100);
+        assert_eq!(b.push(&msg), 8);
+        let c = b.take_chunk(100).unwrap();
+        assert!(std::ptr::eq(
+            msg.as_ref().as_ptr(),
+            c.bytes.as_ref().as_ptr()
+        ));
+    }
+
+    #[test]
+    fn send_push_of_an_adjacent_tail_joins_the_chunk() {
+        // A backpressured message: the head is accepted, the tail is
+        // pushed later as the adjacent view. A transmission crossing the
+        // split is still a view, not a gather.
+        let msg = Payload::copy_from_slice(b"abcdefgh");
+        let mut b = SendBuffer::new(5);
+        assert_eq!(b.push(&msg), 5);
+        b.take_chunk(3).unwrap();
+        b.on_ack(3);
+        assert_eq!(b.push(&msg.slice(5, 8)), 3);
+        b.mark_boundary();
+        let c = b.take_chunk(100).unwrap();
+        assert_eq!(&c.bytes[..], b"defgh");
+        assert!(std::ptr::eq(
+            msg.as_ref()[3..].as_ptr(),
+            c.bytes.as_ref().as_ptr()
+        ));
+        assert_eq!(c.boundaries, vec![8]);
+    }
+
+    #[test]
     fn send_chunk_spanning_pushes_concatenates() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abc");
-        b.push(b"def");
-        b.push(b"ghi");
+        b.push(&Payload::from_static(b"abc"));
+        b.push(&Payload::from_static(b"def"));
+        b.push(&Payload::from_static(b"ghi"));
         let c = b.take_chunk(8).unwrap();
         assert_eq!(&c.bytes[..], b"abcdefgh");
         let rest = b.take_chunk(8).unwrap();
@@ -505,9 +570,9 @@ mod tests {
     #[test]
     fn send_boundaries_ride_chunks() {
         let mut b = SendBuffer::new(100);
-        b.push(b"req1");
+        b.push(&Payload::from_static(b"req1"));
         b.mark_boundary();
-        b.push(b"req2!");
+        b.push(&Payload::from_static(b"req2!"));
         b.mark_boundary();
         let c = b.take_chunk(6).unwrap();
         assert_eq!(c.boundaries, vec![4]);
@@ -518,9 +583,9 @@ mod tests {
     #[test]
     fn ack_frees_bytes_and_messages() {
         let mut b = SendBuffer::new(100);
-        b.push(b"req1");
+        b.push(&Payload::from_static(b"req1"));
         b.mark_boundary();
-        b.push(b"req2");
+        b.push(&Payload::from_static(b"req2"));
         b.mark_boundary();
         b.take_chunk(100);
         let r = b.on_ack(4);
@@ -543,7 +608,7 @@ mod tests {
     #[test]
     fn partial_ack_keeps_retransmit_exact() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdef");
+        b.push(&Payload::from_static(b"abcdef"));
         b.take_chunk(6);
         // Ack into the middle of the (single) chunk: the chunk stays, and
         // both retransmit and further acks stay offset-exact.
@@ -558,7 +623,7 @@ mod tests {
     #[test]
     fn retransmit_rereads_unacked_range() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdef");
+        b.push(&Payload::from_static(b"abcdef"));
         b.take_chunk(6);
         let c = b.retransmit_chunk(2, 3);
         assert_eq!(&c.bytes[..], b"cde");
@@ -568,7 +633,7 @@ mod tests {
     #[test]
     fn rewind_resends_everything_unacked() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdef");
+        b.push(&Payload::from_static(b"abcdef"));
         b.take_chunk(6);
         b.on_ack(2);
         b.rewind_to_una();
@@ -603,6 +668,21 @@ mod tests {
         r.ingest(0, &seg, &[5]);
         let (bytes, _) = r.read(100);
         assert!(std::ptr::eq(seg.as_ref().as_ptr(), bytes.as_ref().as_ptr()));
+    }
+
+    #[test]
+    fn recv_multi_segment_read_of_one_allocation_is_a_view() {
+        // Segments cut from one sender allocation, delivered in order and
+        // out of order, join back into one view on ingest.
+        let msg = Payload::copy_from_slice(b"abcdefghijkl");
+        let mut r = RecvBuffer::new(100);
+        r.ingest(0, &msg.slice(0, 4), &[]);
+        r.ingest(8, &msg.slice(8, 12), &[12]);
+        r.ingest(4, &msg.slice(4, 8), &[]);
+        let (bytes, msgs) = r.read(100);
+        assert_eq!(msgs, 1);
+        assert_eq!(bytes, msg);
+        assert!(std::ptr::eq(msg.as_ref().as_ptr(), bytes.as_ref().as_ptr()));
     }
 
     #[test]

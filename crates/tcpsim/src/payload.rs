@@ -6,7 +6,10 @@
 //! immutable payloads. Cloning shares the allocation, and [`Payload::slice`]
 //! produces a sub-view in O(1) without copying, which is what lets the
 //! socket buffers hand MSS-sized segments out of a 16 KiB application
-//! message without per-segment byte copies.
+//! message without per-segment byte copies. [`Payload::try_join`] is the
+//! inverse: two views adjacent in one allocation join in O(1), which is
+//! how the receive side puts a message's segments back together into
+//! one view of the sender's allocation.
 //!
 //! The empty payload carries no allocation at all, so pure ACKs (the most
 //! common segment at fan-in) construct without touching the heap.
@@ -91,6 +94,44 @@ impl Payload {
             start: self.start + start,
             end: self.start + end,
         }
+    }
+
+    /// Extends this view by `next` when `next` starts exactly where this
+    /// view ends in the same allocation — an O(1) join, no copy. Returns
+    /// whether the join happened; on `false` both views are unchanged.
+    ///
+    /// An empty `next` joins trivially (there is nothing to add). An
+    /// empty `self` never joins a non-empty `next`: it has no allocation
+    /// to extend, and adopting `next` would cost a reference-count bump
+    /// the caller can spend on its own terms.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tcpsim::Payload;
+    ///
+    /// let p = Payload::copy_from_slice(b"abcdef");
+    /// let mut head = p.slice(0, 2);
+    /// assert!(head.try_join(&p.slice(2, 4)));
+    /// assert_eq!(&head[..], b"abcd");
+    /// // A gap, or another allocation with the same bytes, does not join.
+    /// assert!(!head.try_join(&p.slice(5, 6)));
+    /// assert!(!head.try_join(&Payload::copy_from_slice(b"ef")));
+    /// ```
+    // hot-path: runs per ingested segment and per parser feed; never allocates
+    pub fn try_join(&mut self, next: &Payload) -> bool {
+        if next.is_empty() {
+            return true;
+        }
+        let same_buf = match (&self.buf, &next.buf) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        if !same_buf || self.end != next.start || self.is_empty() {
+            return false;
+        }
+        self.end = next.end;
+        true
     }
 
     fn as_slice(&self) -> &[u8] {
@@ -224,6 +265,56 @@ mod tests {
         let ptr = v.as_ptr();
         let p = Payload::from(v);
         assert!(std::ptr::eq(ptr, p.as_ref().as_ptr()));
+    }
+
+    #[test]
+    fn try_join_merges_adjacent_views_of_one_allocation() {
+        let p = Payload::copy_from_slice(b"abcdefgh");
+        let mut a = p.slice(1, 3);
+        assert!(a.try_join(&p.slice(3, 6)));
+        assert_eq!(&a[..], b"bcdef");
+        // Still a view of the original allocation, not a copy.
+        assert!(std::ptr::eq(p.as_ref()[1..].as_ptr(), a.as_ref().as_ptr()));
+        assert!(a.try_join(&p.slice(6, 8)));
+        assert_eq!(a, p.slice(1, 8));
+    }
+
+    #[test]
+    fn try_join_refuses_gaps_overlaps_and_reversed_order() {
+        let p = Payload::copy_from_slice(b"abcdefgh");
+        let mut a = p.slice(0, 3);
+        assert!(!a.try_join(&p.slice(4, 6)), "gap");
+        assert!(!a.try_join(&p.slice(2, 6)), "overlap");
+        let mut b = p.slice(3, 5);
+        assert!(!b.try_join(&p.slice(0, 3)), "next precedes self");
+        assert_eq!(&a[..], b"abc");
+        assert_eq!(&b[..], b"de");
+    }
+
+    #[test]
+    fn try_join_refuses_a_different_allocation() {
+        let p = Payload::copy_from_slice(b"abcd");
+        let q = Payload::copy_from_slice(b"abcd");
+        let mut a = p.slice(0, 2);
+        // Same offsets and bytes, different allocation.
+        assert!(!a.try_join(&q.slice(2, 4)));
+        assert_eq!(&a[..], b"ab");
+    }
+
+    #[test]
+    fn try_join_handles_empty_views() {
+        let p = Payload::copy_from_slice(b"abcd");
+        let mut a = p.slice(0, 2);
+        assert!(a.try_join(&Payload::new()), "empty next joins trivially");
+        assert!(a.try_join(&p.slice(3, 3)), "empty sub-view joins trivially");
+        assert_eq!(&a[..], b"ab");
+        let mut e = Payload::new();
+        assert!(
+            !e.try_join(&p.slice(0, 2)),
+            "empty self has nothing to extend"
+        );
+        assert!(e.is_empty());
+        assert!(e.try_join(&Payload::new()));
     }
 
     #[test]

@@ -237,7 +237,12 @@ impl HostCtx<'_> {
     /// Sends application data (one message boundary per call — the
     /// send-syscall approximation). Returns bytes accepted. Charged to the
     /// application thread.
-    pub fn send(&mut self, sock: SocketId, data: &[u8]) -> usize {
+    ///
+    /// The socket keeps the accepted prefix as a view of `data`'s
+    /// allocation: an app that backlogs the rest sends
+    /// `data.slice(accepted, data.len())` later, and the two halves join
+    /// back into one chunk in the send buffer.
+    pub fn send(&mut self, sock: SocketId, data: &Payload) -> usize {
         let now = self.now();
         let syscall = self.host.costs.syscall;
         self.host.app_cpu.run(now, syscall);
@@ -264,7 +269,7 @@ impl HostCtx<'_> {
 
     /// Like [`send`](Self::send), but first installs the application's
     /// request-queue hint (the ancillary-data path of §3.3).
-    pub fn send_with_hint(&mut self, sock: SocketId, data: &[u8], hint: Snapshot) -> usize {
+    pub fn send_with_hint(&mut self, sock: SocketId, data: &Payload, hint: Snapshot) -> usize {
         self.host.socket_mut(sock).set_hint(hint);
         self.send(sock, data)
     }

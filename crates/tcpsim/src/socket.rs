@@ -605,11 +605,12 @@ impl TcpSocket {
     /// Accepts application data for transmission; each call marks one
     /// message boundary (the send-syscall approximation of §3.3). Returns
     /// the bytes accepted (less than `data.len()` if the buffer is full)
-    /// and appends transmit actions.
+    /// and appends transmit actions. The accepted prefix is kept as a
+    /// view of `data`'s allocation, not copied.
     pub fn send(
         &mut self,
         now: Nanos,
-        data: &[u8],
+        data: &Payload,
         env: TxEnv,
         actions: &mut Vec<Action>,
     ) -> usize {

@@ -37,7 +37,7 @@ fn send_buffer_preserves_stream() {
         let mut buf = SendBuffer::new(1 << 20);
         let mut expected = Vec::new();
         for m in &msgs {
-            assert_eq!(buf.push(m), m.len());
+            assert_eq!(buf.push(&Payload::copy_from_slice(m)), m.len());
             buf.mark_boundary();
             expected.extend_from_slice(m);
         }
@@ -69,7 +69,7 @@ fn send_buffer_ack_accounting() {
         let mut ends = Vec::new();
         let mut total = 0usize;
         for len in &msg_lens {
-            buf.push(&vec![0u8; *len]);
+            buf.push(&Payload::from(vec![0u8; *len]));
             buf.mark_boundary();
             total += len;
             ends.push(total as u64);
@@ -141,6 +141,125 @@ fn recv_buffer_reassembles_any_order() {
         }
         assert_eq!(out, data);
         assert!(msgs >= 1, "at least the final boundary is consumed");
+    }
+}
+
+/// Messages pushed as `Payload`s (one allocation each) come out of the
+/// receive side as the exact stream, with every message boundary, under
+/// any segmentation, reordering, duplication and sequence of partial
+/// reads. Segments that stay within one message travel as views of the
+/// sender's allocation.
+#[test]
+fn payload_stream_survives_any_segmentation_and_read_pattern() {
+    let mut rng = Pcg32::new(0x5EED_0005);
+    for _ in 0..300 {
+        let msgs: Vec<Payload> = (0..range(&mut rng, 1, 12))
+            .map(|_| {
+                let len = range(&mut rng, 1, 5000);
+                (0..len)
+                    .map(|_| rng.next_u32() as u8)
+                    .collect::<Vec<u8>>()
+                    .into()
+            })
+            .collect();
+        let expected: Vec<u8> = msgs.iter().flat_map(|m| m.iter().copied()).collect();
+        let mut ends = Vec::new();
+        let mut snd = SendBuffer::new(1 << 20);
+        for m in &msgs {
+            assert_eq!(snd.push(m), m.len());
+            snd.mark_boundary();
+            ends.push(snd.end());
+        }
+
+        // Cut into segments of random sizes; check that a segment inside
+        // one message is a view of that message's allocation.
+        let mut segments = Vec::new();
+        while snd.unsent() > 0 {
+            let chunk = snd.take_chunk(range(&mut rng, 1, 3000)).expect("unsent");
+            let start = chunk.offset;
+            let end = start + chunk.bytes.len() as u64;
+            let first = ends.partition_point(|&e| e <= start);
+            if end <= ends[first] {
+                let msg_start = if first == 0 { 0 } else { ends[first - 1] };
+                let at = (start - msg_start) as usize;
+                assert!(std::ptr::eq(
+                    msgs[first].as_ref()[at..].as_ptr(),
+                    chunk.bytes.as_ref().as_ptr()
+                ));
+            }
+            segments.push(chunk);
+        }
+        // Reorder a random window, duplicate some segments.
+        for i in (1..segments.len()).rev() {
+            if rng.gen_bool(0.3) {
+                let j = i.saturating_sub(range(&mut rng, 0, 4));
+                segments.swap(i, j);
+            }
+        }
+        for _ in 0..range(&mut rng, 0, 4) {
+            let k = range(&mut rng, 0, segments.len());
+            let dup = segments[k].clone();
+            let at = range(&mut rng, 0, segments.len() + 1);
+            segments.insert(at, dup);
+        }
+
+        // Interleave ingests with partial reads.
+        let mut rcv = RecvBuffer::new(1 << 20);
+        let mut out = Vec::new();
+        let mut msgs_read = 0usize;
+        let read = |rcv: &mut RecvBuffer, rng: &mut Pcg32, out: &mut Vec<u8>| {
+            let (bytes, m) = rcv.read(range(rng, 1, 8000));
+            out.extend_from_slice(&bytes);
+            m
+        };
+        for seg in &segments {
+            rcv.ingest(seg.offset, &seg.bytes, &seg.boundaries);
+            if rng.gen_bool(0.4) {
+                msgs_read += read(&mut rcv, &mut rng, &mut out);
+                let consumed = out.len() as u64;
+                assert_eq!(msgs_read, ends.iter().filter(|&&e| e <= consumed).count());
+            }
+        }
+        while rcv.available() > 0 {
+            msgs_read += read(&mut rcv, &mut rng, &mut out);
+        }
+        assert_eq!(out, expected);
+        assert_eq!(msgs_read, msgs.len(), "every boundary is delivered once");
+        assert_eq!(rcv.available_messages(), 0);
+    }
+}
+
+/// A message read back in one in-order read is a view of the sender's
+/// own allocation, however many segments it crossed the network in and
+/// in whatever order they arrived: adjacent views join on ingest.
+#[test]
+fn one_message_read_is_a_view_of_the_senders_allocation() {
+    let mut rng = Pcg32::new(0x5EED_0006);
+    for _ in 0..100 {
+        let len = range(&mut rng, 1, 70_000);
+        let msg: Payload = (0..len)
+            .map(|_| rng.next_u32() as u8)
+            .collect::<Vec<u8>>()
+            .into();
+        let mut snd = SendBuffer::new(1 << 20);
+        snd.push(&msg);
+        snd.mark_boundary();
+        let mut segments = Vec::new();
+        while let Some(chunk) = snd.take_chunk(range(&mut rng, 1, 1449)) {
+            segments.push(chunk);
+        }
+        for i in (1..segments.len()).rev() {
+            let j = rng.gen_range((i + 1) as u64) as usize;
+            segments.swap(i, j);
+        }
+        let mut rcv = RecvBuffer::new(1 << 20);
+        for seg in &segments {
+            rcv.ingest(seg.offset, &seg.bytes, &seg.boundaries);
+        }
+        let (bytes, m) = rcv.read(usize::MAX);
+        assert_eq!(m, 1);
+        assert_eq!(bytes, msg);
+        assert!(std::ptr::eq(msg.as_ref().as_ptr(), bytes.as_ref().as_ptr()));
     }
 }
 

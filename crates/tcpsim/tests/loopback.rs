@@ -10,7 +10,7 @@ use tcpsim::config::{CostConfig, NagleMode, TcpConfig};
 use tcpsim::host::{Host, HostId};
 use tcpsim::sim::{App, Event, HostCtx, NetSim};
 use tcpsim::socket::{SocketId, TcpState, WakeReason};
-use tcpsim::Unit;
+use tcpsim::{Payload, Unit};
 
 /// An echo server: reads whatever arrives and writes it straight back.
 #[derive(Default)]
@@ -87,7 +87,7 @@ impl App for ScriptClient {
         if token >= SEND_TOKEN_BASE {
             let idx = (token - SEND_TOKEN_BASE) as usize;
             let sock = self.sock.expect("connected");
-            let payload = self.script[idx].1.clone();
+            let payload = Payload::copy_from_slice(&self.script[idx].1);
             let sent = ctx.send(sock, &payload);
             assert_eq!(sent, payload.len(), "send buffer overflow in test");
         } else {

@@ -11,6 +11,7 @@ use tcpsim::host::{Host, HostId};
 use tcpsim::knob::KnobSetting;
 use tcpsim::sim::{App, Event, HostCtx, NetSim};
 use tcpsim::socket::{SocketId, WakeReason};
+use tcpsim::Payload;
 
 /// Sink server: accepts and reads everything, never responds.
 #[derive(Default)]
@@ -66,7 +67,7 @@ impl App for Writer {
             ctx.set_nagle(sock, on);
         } else {
             let len = self.writes[token as usize].1;
-            ctx.send(sock, &vec![0xAB; len]);
+            ctx.send(sock, &Payload::from(vec![0xAB; len]));
         }
     }
 }
@@ -395,7 +396,7 @@ impl App for KnobWriter {
             ctx.apply(sock, setting);
         } else {
             let len = self.writes[token as usize].1;
-            ctx.send(sock, &vec![0xAB; len]);
+            ctx.send(sock, &Payload::from(vec![0xAB; len]));
         }
     }
 }

@@ -8,6 +8,7 @@ use littles::Nanos;
 use tcpsim::config::{TcpConfig, TsoConfig};
 use tcpsim::segment::{FlowId, Segment};
 use tcpsim::socket::{Action, TcpSocket, TcpState, TimerKind, TxEnv};
+use tcpsim::Payload;
 
 const MSS: usize = 1448;
 
@@ -62,7 +63,7 @@ fn triple_dup_acks_trigger_exactly_one_fast_retransmit() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    let sent = client.send(t0, &vec![0xCD; 5 * MSS], env, &mut actions);
+    let sent = client.send(t0, &Payload::from(vec![0xCD; 5 * MSS]), env, &mut actions);
     assert_eq!(sent, 5 * MSS);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 5, "TSO off: one MSS per segment");
@@ -122,7 +123,7 @@ fn karn_excludes_retransmitted_ranges_and_srtt_recovers() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    client.send(t0, &vec![0xEE; 5 * MSS], env, &mut actions);
+    client.send(t0, &Payload::from(vec![0xEE; 5 * MSS]), env, &mut actions);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 5);
 
@@ -192,7 +193,7 @@ fn karn_excludes_retransmitted_ranges_and_srtt_recovers() {
     // Episode over. The first cleanly-ACKed transmission after recovery
     // seeds SRTT with an unambiguous sample of exactly the ACK delay.
     let t8 = t7 + Nanos::from_millis(1);
-    client.send(t8, &vec![0x11; MSS], env, &mut actions);
+    client.send(t8, &Payload::from(vec![0x11; MSS]), env, &mut actions);
     let fresh = segs(&mut actions);
     assert_eq!(fresh.len(), 1);
     let t9 = t8 + Nanos::from_micros(30);
@@ -218,7 +219,7 @@ fn repeated_rto_does_not_shrink_the_recovery_point() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    client.send(t0, &vec![0x42; 5 * MSS], env, &mut actions);
+    client.send(t0, &Payload::from(vec![0x42; 5 * MSS]), env, &mut actions);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 5);
 
@@ -278,7 +279,7 @@ fn replayed_in_order_segment_is_classified_duplicate() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    client.send(t0, &vec![0x7A; MSS], env, &mut actions);
+    client.send(t0, &Payload::from(vec![0x7A; MSS]), env, &mut actions);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 1);
 
