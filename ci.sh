@@ -36,50 +36,18 @@ test -s crates/bench/BENCH_simperf.json
 grep -q '"bench": "simperf"' crates/bench/BENCH_simperf.json
 grep -q '"num_clients": 1024' crates/bench/BENCH_simperf.json
 
-echo "==> fanin smoke (N=4, short run)"
-cargo run -q --release --example fanin -- --smoke
+# Each acceptance experiment declares its smoke grid, full grid and
+# gates once (e2e_apps::experiments). The example runs the smoke grid
+# against the gates; the bench runs the full grid against the same gates
+# and regenerates the checked-in BENCH_*.json, which must come out
+# byte-identical — a stale artifact fails here.
+for exp in fanin knobs adversary shard failover chaos; do
+    echo "==> $exp smoke (smoke grid, every gate)"
+    cargo run -q --release --example "$exp" -- --smoke
 
-echo "==> chaos smoke (loss + blackout, N=4, bounded degradation)"
-cargo run -q --release --example chaos -- --smoke
-
-echo "==> knobs smoke (c=4us, N=8, joint plane within bound)"
-cargo run -q --release --example knobs -- --smoke
-
-echo "==> adversary smoke (corrupt + restart, N=1, validation load-bearing)"
-cargo run -q --release --example adversary -- --smoke
-
-echo "==> adversary bench regenerates BENCH_adversary.json"
-rm -f crates/bench/BENCH_adversary.json
-cargo bench -q -p bench --bench adversary >/dev/null
-test -s crates/bench/BENCH_adversary.json
-grep -q '"version": 1' crates/bench/BENCH_adversary.json
-grep -q '"bench": "adversary"' crates/bench/BENCH_adversary.json
-
-echo "==> shard smoke (two-tier proxy, N=8/K=4 skewed cell, bound holds)"
-cargo run -q --release --example shard -- --smoke
-
-echo "==> shard bench regenerates BENCH_shard.json (hot-shard rank + adaptive win)"
-rm -f crates/bench/BENCH_shard.json
-cargo bench -q -p bench --bench shard >/dev/null
-test -s crates/bench/BENCH_shard.json
-grep -q '"version": 1' crates/bench/BENCH_shard.json
-grep -q '"bench": "shard"' crates/bench/BENCH_shard.json
-
-echo "==> failover smoke (shard crash + brownout, defense ladder within bound)"
-cargo run -q --release --example failover -- --smoke
-
-echo "==> failover bench regenerates BENCH_failover.json (full stack holds, naive collapses)"
-rm -f crates/bench/BENCH_failover.json
-cargo bench -q -p bench --bench failover >/dev/null
-test -s crates/bench/BENCH_failover.json
-grep -q '"version": 1' crates/bench/BENCH_failover.json
-grep -q '"bench": "failover"' crates/bench/BENCH_failover.json
-
-echo "==> knobs bench regenerates BENCH_knobs.json"
-rm -f crates/bench/BENCH_knobs.json
-cargo bench -q -p bench --bench knobs >/dev/null
-test -s crates/bench/BENCH_knobs.json
-grep -q '"version": 1' crates/bench/BENCH_knobs.json
-grep -q '"bench": "knobs"' crates/bench/BENCH_knobs.json
+    echo "==> $exp bench regenerates BENCH_$exp.json (full grid, every gate)"
+    cargo bench -q -p bench --bench "$exp" >/dev/null
+    git diff --exit-code -- "crates/bench/BENCH_$exp.json"
+done
 
 echo "==> ci.sh: all green"

@@ -1,21 +1,20 @@
 //! Estimation and policy plumbing shared by client and server apps.
 //!
-//! A [`PolicyDriver`] is what an endpoint runs on its periodic tick: it
+//! A [`PlaneDriver`] is what an endpoint runs on its periodic tick: it
 //! snapshots the socket's local queues, pairs them with the peer's latest
 //! exchange, updates an [`E2eEstimator`], records the estimate series (the
-//! "estimated" curves of Figure 4), and — when a toggler is attached —
-//! actuates the socket's dynamic-Nagle switch.
+//! "estimated" curves of Figure 4), and actuates the knobs its
+//! [`ControlPlane`] decides. [`ListenerPlaneDriver`] is the listener-wide
+//! form and [`ProxyDriver`] the per-shard form of the same loop.
 
-use batchpolicy::{
-    AimdBatchLimit, BreakerState, CircuitBreaker, ControlPlane, EpsilonGreedy, TickController,
-};
+use batchpolicy::{AimdBatchLimit, BreakerState, CircuitBreaker, ControlPlane, TickController};
 use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows};
 use e2e_core::compose::compose_two;
 use e2e_core::hints::{HintEstimate, HintEstimator};
 use e2e_core::{
     AggregateEstimate, E2eEstimator, Estimate, EstimatorRegistry, ValidateConfig, ValidateStats,
 };
-use littles::wire::WireScale;
+use littles::wire::{WireExchange, WireScale};
 use littles::Nanos;
 use tcpsim::{HostCtx, KnobSetting, SocketId, Unit};
 
@@ -26,6 +25,51 @@ pub struct EstimateSample {
     pub at: Nanos,
     /// The estimate.
     pub estimate: Estimate,
+}
+
+/// One socket's estimator inputs at `now`, in `unit`: its local queue
+/// snapshots, the peer's latest exchanged window, and the smoothed RTT
+/// that anchors the validator's delay bound (ignored when validation is
+/// off).
+fn socket_inputs(
+    ctx: &HostCtx<'_>,
+    sock: SocketId,
+    now: Nanos,
+    unit: Unit,
+) -> (EndpointSnapshots, Option<WireExchange>, Option<Nanos>) {
+    let socket = ctx.socket(sock);
+    let snaps = socket.local_snapshots(now, unit);
+    let local = EndpointSnapshots {
+        unacked: snaps.unacked,
+        unread: snaps.unread,
+        ackdelay: snaps.ackdelay,
+    };
+    (local, socket.remote().unit(unit).cur, socket.srtt())
+}
+
+/// Fraction of recorded decisions with batching on (0 before the first).
+fn on_fraction(toggles: &[(Nanos, bool)]) -> f64 {
+    if toggles.is_empty() {
+        return 0.0;
+    }
+    toggles.iter().filter(|(_, on)| *on).count() as f64 / toggles.len() as f64
+}
+
+/// Mean of the latencies sampled in `[from, to)`, or `None` if none was.
+pub(crate) fn mean_latency_in(
+    samples: impl IntoIterator<Item = (Nanos, Nanos)>,
+    from: Nanos,
+    to: Nanos,
+) -> Option<Nanos> {
+    let mut sum = 0u128;
+    let mut n = 0u64;
+    for (at, latency) in samples {
+        if at >= from && at < to {
+            sum += latency.as_nanos() as u128;
+            n += 1;
+        }
+    }
+    (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
 }
 
 /// Per-unit estimate recording (no actuation).
@@ -88,16 +132,7 @@ impl EstimateRecorder {
     /// Runs one tick against `sock`.
     pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
         let now = ctx.now();
-        let snaps = ctx.socket(sock).local_snapshots(now, self.unit);
-        let local = EndpointSnapshots {
-            unacked: snaps.unacked,
-            unread: snaps.unread,
-            ackdelay: snaps.ackdelay,
-        };
-        let remote = ctx.socket(sock).remote().unit(self.unit).cur;
-        // The socket's smoothed RTT anchors the validator's delay bound;
-        // with validation disabled it is ignored.
-        let srtt = ctx.socket(sock).srtt();
+        let (local, remote, srtt) = socket_inputs(ctx, sock, now, self.unit);
         if let Some(estimate) = self.estimator.update_validated(now, local, remote, srtt) {
             self.series.push(EstimateSample { at: now, estimate });
         }
@@ -144,15 +179,11 @@ impl EstimateRecorder {
             let rv = combine_delays(&far, &near).latency();
             return Some(lv.max(rv));
         }
-        let mut sum = 0u128;
-        let mut n = 0u64;
-        for s in &self.series {
-            if s.at >= from && s.at < to {
-                sum += s.estimate.latency.as_nanos() as u128;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
+        mean_latency_in(
+            self.series.iter().map(|s| (s.at, s.estimate.latency)),
+            from,
+            to,
+        )
     }
 
     /// Mean estimated throughput over `[from, to)`: departures over
@@ -171,6 +202,15 @@ impl EstimateRecorder {
             .collect();
         (!samples.is_empty()).then(|| samples.iter().sum::<f64>() / samples.len() as f64)
     }
+}
+
+/// The (time, latency) samples of a hint series that carry a latency.
+pub(crate) fn hint_latencies<'a>(
+    series: impl IntoIterator<Item = &'a (Nanos, HintEstimate)> + 'a,
+) -> impl Iterator<Item = (Nanos, Nanos)> + 'a {
+    series
+        .into_iter()
+        .filter_map(|(at, e)| Some((*at, e.latency?)))
 }
 
 /// Hint-based estimate recording (server side of §3.3).
@@ -201,14 +241,7 @@ impl HintRecorder {
 
     /// Mean hint-estimated latency over `[from, to)`.
     pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let vals: Vec<u64> = self
-            .series
-            .iter()
-            .filter(|(at, e)| *at >= from && *at < to && e.latency.is_some())
-            .map(|(_, e)| e.latency.expect("filtered").as_nanos())
-            .collect();
-        (!vals.is_empty())
-            .then(|| Nanos::from_nanos(vals.iter().sum::<u64>() / vals.len() as u64))
+        mean_latency_in(hint_latencies(&self.series), from, to)
     }
 }
 
@@ -259,120 +292,6 @@ impl AimdDriver {
             .map(|(_, l)| *l)
             .collect();
         (!vals.is_empty()).then(|| vals.iter().sum::<u64>() as f64 / vals.len() as f64)
-    }
-}
-
-/// Listener-wide estimation plus actuation (paper §3.2, last paragraph).
-///
-/// Where a [`PolicyDriver`] watches one connection, a `ListenerDriver`
-/// runs one [`E2eEstimator`] per accepted connection inside an
-/// [`EstimatorRegistry`], folds their latest estimates into a
-/// throughput-weighted [`AggregateEstimate`] each tick, makes a *single*
-/// ε-greedy decision on the aggregate, and applies it to every
-/// connection — the listener-wide Nagle default a server actually toggles.
-/// With one connection the aggregate degenerates to that connection's
-/// estimate, so the two-host experiments behave identically.
-#[derive(Debug)]
-pub struct ListenerDriver {
-    /// The message unit the per-connection estimators use.
-    pub unit: Unit,
-    registry: EstimatorRegistry,
-    controller: TickController<CircuitBreaker<EpsilonGreedy>>,
-    /// Recorded toggle decisions (time, batching-on).
-    pub toggles: Vec<(Nanos, bool)>,
-    /// Recorded aggregate series.
-    pub series: Vec<(Nanos, AggregateEstimate)>,
-}
-
-impl ListenerDriver {
-    /// Creates a driver estimating in `unit` and deciding with the given
-    /// ε-greedy controller (wrapped in a — possibly disabled — circuit
-    /// breaker). The registry's estimators are unsmoothed, matching
-    /// [`EstimateRecorder`].
-    pub fn new(unit: Unit, controller: TickController<CircuitBreaker<EpsilonGreedy>>) -> Self {
-        ListenerDriver {
-            unit,
-            registry: EstimatorRegistry::new(WireScale::default(), 1.0),
-            controller,
-            toggles: Vec::new(),
-            series: Vec::new(),
-        }
-    }
-
-    /// Applies a staleness bound to every per-connection estimator the
-    /// registry creates (see [`EstimatorRegistry::with_staleness_bound`]).
-    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
-        self.registry = self.registry.with_staleness_bound(bound);
-        self
-    }
-
-    /// Applies peer-state validation to every per-connection estimator
-    /// the registry creates.
-    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
-        self.registry = self.registry.with_validation(config);
-        self
-    }
-
-    /// Validation counters summed across every connection's estimator.
-    pub fn validation_stats(&self) -> ValidateStats {
-        self.registry.validation_stats()
-    }
-
-    /// The circuit breaker around the listener-wide toggler.
-    pub fn breaker(&self) -> &CircuitBreaker<EpsilonGreedy> {
-        self.controller.inner()
-    }
-
-    /// Runs one tick over every live connection: update each estimator,
-    /// aggregate, decide once, actuate everywhere.
-    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
-        let now = ctx.now();
-        for &sock in socks {
-            let snaps = ctx.socket(sock).local_snapshots(now, self.unit);
-            let local = EndpointSnapshots {
-                unacked: snaps.unacked,
-                unread: snaps.unread,
-                ackdelay: snaps.ackdelay,
-            };
-            let remote = ctx.socket(sock).remote().unit(self.unit).cur;
-            let srtt = ctx.socket(sock).srtt();
-            self.registry
-                .update_validated(sock.0 as u64, now, local, remote, srtt);
-        }
-        if let Some(agg) = self.registry.aggregate() {
-            let on = self.controller.offer_aggregate(now, &agg);
-            self.series.push((now, agg));
-            self.toggles.push((now, on));
-            for &sock in socks {
-                ctx.set_nagle(sock, on);
-            }
-        }
-    }
-
-    /// Connections the registry has seen.
-    pub fn connections(&self) -> usize {
-        self.registry.connections()
-    }
-
-    /// Fraction of ticks with batching on.
-    pub fn on_fraction(&self) -> f64 {
-        if self.toggles.is_empty() {
-            return 0.0;
-        }
-        self.toggles.iter().filter(|(_, on)| *on).count() as f64 / self.toggles.len() as f64
-    }
-
-    /// Mean aggregate estimated latency over `[from, to)`.
-    pub fn mean_aggregate_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let mut sum = 0u128;
-        let mut n = 0u64;
-        for (at, agg) in &self.series {
-            if *at >= from && *at < to {
-                sum += agg.latency.as_nanos() as u128;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
     }
 }
 
@@ -502,19 +421,10 @@ impl ProxyDriver {
     ) {
         assert_eq!(upstreams.len(), self.backs.len(), "one upstream per shard");
         let now = ctx.now();
-        let feed = |reg: &mut EstimatorRegistry, conn: u64, ctx: &HostCtx<'_>, sock: SocketId, unit| {
-            let snaps = ctx.socket(sock).local_snapshots(now, unit);
-            let local = EndpointSnapshots {
-                unacked: snaps.unacked,
-                unread: snaps.unread,
-                ackdelay: snaps.ackdelay,
-            };
-            let remote = ctx.socket(sock).remote().unit(unit).cur;
-            let srtt = ctx.socket(sock).srtt();
-            reg.update_validated(conn, now, local, remote, srtt);
-        };
         for &sock in client_socks {
-            feed(&mut self.front, sock.0 as u64, ctx, sock, self.unit);
+            let (local, remote, srtt) = socket_inputs(ctx, sock, now, self.unit);
+            self.front
+                .update_validated(sock.0 as u64, now, local, remote, srtt);
         }
         let front = self.front.aggregate();
         if let Some(f) = front {
@@ -522,7 +432,8 @@ impl ProxyDriver {
         }
         for (shard, up) in upstreams.iter().enumerate() {
             let Some(sock) = *up else { continue };
-            feed(&mut self.backs[shard], 0, ctx, sock, self.unit);
+            let (local, remote, srtt) = socket_inputs(ctx, sock, now, self.unit);
+            self.backs[shard].update_validated(0, now, local, remote, srtt);
             let Some(back) = self.backs[shard].aggregate() else {
                 continue;
             };
@@ -547,11 +458,7 @@ impl ProxyDriver {
 
     /// Fraction of one shard's decisions with batching on.
     pub fn on_fraction(&self, shard: usize) -> f64 {
-        let t = &self.toggles[shard];
-        if t.is_empty() {
-            return 0.0;
-        }
-        t.iter().filter(|(_, on)| *on).count() as f64 / t.len() as f64
+        on_fraction(&self.toggles[shard])
     }
 
     /// The newest composed (front + back) service estimate for one shard.
@@ -561,83 +468,15 @@ impl ProxyDriver {
 
     /// Mean composed service latency for one shard over `[from, to)`.
     pub fn shard_mean_latency_in(&self, shard: usize, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let mut sum = 0u128;
-        let mut n = 0u64;
-        for (at, agg) in &self.shard_series[shard] {
-            if *at >= from && *at < to {
-                sum += agg.latency.as_nanos() as u128;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
-    }
-}
-
-/// Estimation plus actuation: drives the socket's dynamic-Nagle switch.
-#[derive(Debug)]
-pub struct PolicyDriver {
-    /// The estimate source.
-    pub recorder: EstimateRecorder,
-    controller: TickController<CircuitBreaker<EpsilonGreedy>>,
-    /// Recorded toggle decisions (time, batching-on).
-    pub toggles: Vec<(Nanos, bool)>,
-}
-
-impl PolicyDriver {
-    /// Creates a driver estimating in `unit` and deciding with the given
-    /// ε-greedy controller (wrapped in a — possibly disabled — circuit
-    /// breaker).
-    pub fn new(unit: Unit, controller: TickController<CircuitBreaker<EpsilonGreedy>>) -> Self {
-        PolicyDriver {
-            recorder: EstimateRecorder::new(unit),
-            controller,
-            toggles: Vec::new(),
-        }
-    }
-
-    /// Bounds how long this driver's estimator trusts a cached remote
-    /// window.
-    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
-        self.recorder = self.recorder.with_staleness_bound(bound);
-        self
-    }
-
-    /// Validates every incoming exchange before it can influence the
-    /// policy's estimate.
-    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
-        self.recorder = self.recorder.with_validation(config);
-        self
-    }
-
-    /// The circuit breaker around the toggler.
-    pub fn breaker(&self) -> &CircuitBreaker<EpsilonGreedy> {
-        self.controller.inner()
-    }
-
-    /// Runs one tick: estimate, decide, actuate.
-    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        self.recorder.tick(ctx, sock);
-        if let Some(sample) = self.recorder.series.last().copied() {
-            let on = self.controller.offer(ctx.now(), &sample.estimate);
-            self.toggles.push((ctx.now(), on));
-            ctx.set_nagle(sock, on);
-        }
-    }
-
-    /// Fraction of ticks with batching on.
-    pub fn on_fraction(&self) -> f64 {
-        if self.toggles.is_empty() {
-            return 0.0;
-        }
-        self.toggles.iter().filter(|(_, on)| *on).count() as f64 / self.toggles.len() as f64
+        let series = self.shard_series[shard].iter();
+        mean_latency_in(series.map(|(at, agg)| (*at, agg.latency)), from, to)
     }
 }
 
 /// The settings a plane driver actuates this tick: the plane's learned
 /// settings while the surrounding breaker is closed, its safe static
 /// corner otherwise. `on` is the breaker-filtered headline decision, so
-/// for a Nagle-only plane this is exactly `[Nagle(on)]` either way —
-/// the single-knob drivers' actuation, through the uniform apply path.
+/// for a Nagle-only plane this is exactly `[Nagle(on)]` either way.
 fn plane_settings(
     controller: &TickController<CircuitBreaker<ControlPlane>>,
     on: bool,
@@ -714,16 +553,20 @@ impl PlaneDriver {
 
     /// Fraction of ticks with batching on.
     pub fn on_fraction(&self) -> f64 {
-        if self.toggles.is_empty() {
-            return 0.0;
-        }
-        self.toggles.iter().filter(|(_, on)| *on).count() as f64 / self.toggles.len() as f64
+        on_fraction(&self.toggles)
     }
 }
 
-/// Listener-wide multi-knob actuation: the [`ListenerDriver`] shape with
-/// a [`ControlPlane`] deciding on the aggregate, every knob's setting
-/// applied to every accepted connection.
+/// Listener-wide estimation plus actuation (paper §3.2, last paragraph).
+///
+/// Where a [`PlaneDriver`] watches one connection, a
+/// `ListenerPlaneDriver` runs one [`E2eEstimator`] per accepted
+/// connection inside an [`EstimatorRegistry`], folds their latest
+/// estimates into a throughput-weighted [`AggregateEstimate`] each tick,
+/// makes a *single* [`ControlPlane`] decision on the aggregate, and
+/// applies every knob's setting to every connection — the listener-wide
+/// default a server actually toggles. With one connection the aggregate
+/// degenerates to that connection's estimate.
 #[derive(Debug)]
 pub struct ListenerPlaneDriver {
     /// The message unit the per-connection estimators use.
@@ -784,14 +627,7 @@ impl ListenerPlaneDriver {
     pub fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
         let now = ctx.now();
         for &sock in socks {
-            let snaps = ctx.socket(sock).local_snapshots(now, self.unit);
-            let local = EndpointSnapshots {
-                unacked: snaps.unacked,
-                unread: snaps.unread,
-                ackdelay: snaps.ackdelay,
-            };
-            let remote = ctx.socket(sock).remote().unit(self.unit).cur;
-            let srtt = ctx.socket(sock).srtt();
+            let (local, remote, srtt) = socket_inputs(ctx, sock, now, self.unit);
             self.registry
                 .update_validated(sock.0 as u64, now, local, remote, srtt);
         }
@@ -815,22 +651,12 @@ impl ListenerPlaneDriver {
 
     /// Fraction of ticks with batching on.
     pub fn on_fraction(&self) -> f64 {
-        if self.toggles.is_empty() {
-            return 0.0;
-        }
-        self.toggles.iter().filter(|(_, on)| *on).count() as f64 / self.toggles.len() as f64
+        on_fraction(&self.toggles)
     }
 
     /// Mean aggregate estimated latency over `[from, to)`.
     pub fn mean_aggregate_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let mut sum = 0u128;
-        let mut n = 0u64;
-        for (at, agg) in &self.series {
-            if *at >= from && *at < to {
-                sum += agg.latency.as_nanos() as u128;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
+        let series = self.series.iter();
+        mean_latency_in(series.map(|(at, agg)| (*at, agg.latency)), from, to)
     }
 }

@@ -36,10 +36,7 @@ pub mod sweep;
 pub mod workload;
 
 pub use cost::{AppCosts, CostProfile};
-pub use driver::{
-    EstimateRecorder, HintRecorder, ListenerDriver, ListenerPlaneDriver, PlaneDriver, PolicyDriver,
-    ProxyDriver,
-};
+pub use driver::{EstimateRecorder, HintRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver};
 pub use failover::{
     run_failover_point, FailoverArm, FailoverPointResult, FailoverRunConfig, FailoverScenario,
 };

@@ -13,7 +13,7 @@
 //!   ground truth, optionally forwarded to the server as hints;
 //! * per-unit [`EstimateRecorder`]s — the byte/packet/message Little's-law
 //!   estimates of §3.2 (the "estimated" curves of Figure 4);
-//! * optionally a [`PolicyDriver`] toggling Nagle dynamically.
+//! * optionally a [`PlaneDriver`] adapting the batching knobs.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -24,7 +24,7 @@ use simnet::{Histogram, Pcg32};
 use tcpsim::{App, HostCtx, Payload, SocketId, TcpConfig, WakeReason};
 
 use crate::cost::AppCosts;
-use crate::driver::{AimdDriver, EstimateRecorder, PlaneDriver, PolicyDriver};
+use crate::driver::{AimdDriver, EstimateRecorder, PlaneDriver};
 use crate::outbox::Outbox;
 use crate::resp::{encode_get, encode_set_filled, Response, ResponseParser};
 use crate::workload::WorkloadSpec;
@@ -123,8 +123,6 @@ pub struct LancetClient {
     tracker_at_end: Option<Snapshot>,
     /// Little's-law estimate recorders (one per unit under study).
     pub recorders: Vec<EstimateRecorder>,
-    /// Optional dynamic-Nagle policy.
-    pub policy: Option<PolicyDriver>,
     /// Optional §5 AIMD batch-limit policy.
     pub aimd: Option<AimdDriver>,
     /// Optional multi-knob control plane.
@@ -171,7 +169,6 @@ impl LancetClient {
             tracker_at_warmup: None,
             tracker_at_end: None,
             recorders: Vec::new(),
-            policy: None,
             aimd: None,
             plane: None,
             sent: 0,
@@ -205,12 +202,6 @@ impl LancetClient {
     /// Adds a Little's-law estimate recorder for a unit.
     pub fn with_recorder(mut self, recorder: EstimateRecorder) -> Self {
         self.recorders.push(recorder);
-        self
-    }
-
-    /// Attaches a dynamic-Nagle policy (requires `NagleMode::Dynamic`).
-    pub fn with_policy(mut self, policy: PolicyDriver) -> Self {
-        self.policy = Some(policy);
         self
     }
 
@@ -337,9 +328,6 @@ impl LancetClient {
         if let Some(sock) = self.sock {
             for rec in &mut self.recorders {
                 rec.tick(ctx, sock);
-            }
-            if let Some(policy) = self.policy.as_mut() {
-                policy.tick(ctx, sock);
             }
             if let Some(aimd) = self.aimd.as_mut() {
                 aimd.tick(ctx, sock);

@@ -10,16 +10,16 @@
 //! Like Redis, the server disables Nagle by default; experiments override
 //! this through [`TcpConfig::nagle`](tcpsim::TcpConfig) on the accept
 //! configuration, including the `Dynamic` mode driven by an attached
-//! [`PolicyDriver`].
+//! [`ListenerPlaneDriver`].
 
 use std::collections::BTreeMap;
 
 use littles::Nanos;
 use simnet::Histogram;
-use tcpsim::{App, HostCtx, SocketId, Unit, WakeReason};
+use tcpsim::{App, HostCtx, SocketId, WakeReason};
 
 use crate::cost::AppCosts;
-use crate::driver::{HintRecorder, ListenerDriver, ListenerPlaneDriver};
+use crate::driver::{hint_latencies, mean_latency_in, HintRecorder, ListenerPlaneDriver};
 use crate::kv::KvStore;
 use crate::outbox::Outbox;
 use crate::resp::{Command, CommandParser, Replies};
@@ -65,9 +65,6 @@ pub struct RedisServer {
     pub batch_hist: Histogram,
     /// Aggregate statistics.
     pub stats: ServerStats,
-    /// Optional listener-wide dynamic-batching policy: one aggregate
-    /// decision per tick, applied to every connection.
-    pub policy: Option<ListenerDriver>,
     /// Optional listener-wide multi-knob control plane: one aggregate
     /// decision per tick, every knob applied to every connection.
     pub plane: Option<ListenerPlaneDriver>,
@@ -88,19 +85,11 @@ impl RedisServer {
             conns: BTreeMap::new(),
             batch_hist: Histogram::new(),
             stats: ServerStats::default(),
-            policy: None,
             plane: None,
             hint_recorders: BTreeMap::new(),
             hints_enabled: false,
             tick_period: Nanos::from_micros(500),
         }
-    }
-
-    /// Attaches a listener-wide dynamic-Nagle policy (requires the accept
-    /// configuration to use [`NagleMode::Dynamic`](tcpsim::NagleMode)).
-    pub fn with_policy(mut self, policy: ListenerDriver) -> Self {
-        self.policy = Some(policy);
-        self
     }
 
     /// Attaches a listener-wide multi-knob control plane (requires the
@@ -122,26 +111,11 @@ impl RedisServer {
         &self.kv
     }
 
-    /// Estimate unit used by the attached policy or plane, if any.
-    pub fn policy_unit(&self) -> Option<Unit> {
-        self.policy
-            .as_ref()
-            .map(|p| p.unit)
-            .or_else(|| self.plane.as_ref().map(|p| p.unit))
-    }
-
     /// Mean hint-estimated latency pooled over every connection's
     /// recorder in `[from, to)`.
     pub fn hint_mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let vals: Vec<u64> = self
-            .hint_recorders
-            .values()
-            .flat_map(|r| r.series.iter())
-            .filter(|(at, e)| *at >= from && *at < to && e.latency.is_some())
-            .map(|(_, e)| e.latency.expect("filtered").as_nanos())
-            .collect();
-        (!vals.is_empty())
-            .then(|| Nanos::from_nanos(vals.iter().sum::<u64>() / vals.len() as u64))
+        let series = self.hint_recorders.values().flat_map(|r| &r.series);
+        mean_latency_in(hint_latencies(series), from, to)
     }
 
     fn process(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
@@ -175,7 +149,7 @@ impl RedisServer {
 
 impl App for RedisServer {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        if self.policy.is_some() || self.plane.is_some() || self.hints_enabled {
+        if self.plane.is_some() || self.hints_enabled {
             ctx.call_after(self.tick_period, token(KIND_TICK, 0));
         }
     }
@@ -224,12 +198,9 @@ impl App for RedisServer {
                             .tick(ctx, s);
                     }
                 }
-                if let Some(policy) = self.policy.as_mut() {
+                if let Some(plane) = self.plane.as_mut() {
                     // One listener-wide decision over the aggregate, not
                     // one per connection.
-                    policy.tick(ctx, &socks);
-                }
-                if let Some(plane) = self.plane.as_mut() {
                     plane.tick(ctx, &socks);
                 }
                 ctx.call_after(self.tick_period, token(KIND_TICK, 0));

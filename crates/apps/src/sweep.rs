@@ -22,7 +22,7 @@ pub struct SweepRow {
     pub off: PointResult,
     /// Nagle on.
     pub on: PointResult,
-    /// Dynamic toggling, when requested.
+    /// Dynamic toggling (the Nagle-only plane), when requested.
     pub dynamic: Option<PointResult>,
 }
 
@@ -105,13 +105,17 @@ pub fn run_sweep(
             on: run_point(&mk(NagleSetting::On)),
             dynamic: include_dynamic.then(|| {
                 // Inherit the base config's objective when it is
-                // already dynamic; default to the paper's
-                // "prefer latency" policy otherwise.
+                // already a plane; default to the paper's "prefer
+                // latency" policy otherwise.
                 let objective = match base.nagle {
-                    NagleSetting::Dynamic { objective } => objective,
+                    NagleSetting::Plane { objective, .. } => objective,
                     _ => batchpolicy::Objective::MinLatency,
                 };
-                run_point(&mk(NagleSetting::Dynamic { objective }))
+                run_point(&mk(NagleSetting::Plane {
+                    objective,
+                    delack: false,
+                    cork: false,
+                }))
             }),
         }
     });

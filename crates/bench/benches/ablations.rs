@@ -35,8 +35,10 @@ fn us(n: Option<Nanos>) -> f64 {
 }
 
 fn dynamic() -> NagleSetting {
-    NagleSetting::Dynamic {
+    NagleSetting::Plane {
         objective: Objective::MinLatency,
+        delack: false,
+        cork: false,
     }
 }
 

@@ -5,8 +5,8 @@
 //! full retry + hedge + breaker stack with ring-successor failover
 //! routing.
 //!
-//! Prints the per-cell table and writes `BENCH_failover.json`. Asserts
-//! the grid's robustness claims: the full stack holds P99 within
+//! Prints the per-cell table, writes `BENCH_failover.json` and fails on
+//! any violated gate: the full stack holds P99 within
 //! `FAILOVER_BOUND_FACTOR × oracle + FAILOVER_BOUND_SLACK` (and goodput
 //! within `FAILOVER_GOODPUT_MIN` of the oracle) in *every* cell, while
 //! the naive proxy exceeds `FAILOVER_NAIVE_FACTOR ×` in at least one —
@@ -17,32 +17,12 @@
 //! cargo bench -p bench --bench failover
 //! ```
 
-use bench::params::WARMUP;
+use bench::{json_us, write_json};
 use e2e_apps::experiments::{
-    failover, FailoverData, FAILOVER_BOUND_FACTOR, FAILOVER_BOUND_SLACK, FAILOVER_GOODPUT_MIN,
-    FAILOVER_NAIVE_FACTOR,
+    assert_gates, FailoverData, FailoverGrid, FAILOVER_BOUND_FACTOR, FAILOVER_BOUND_SLACK,
+    FAILOVER_GOODPUT_MIN, FAILOVER_NAIVE_FACTOR,
 };
-use e2e_apps::{FailoverArm, FailoverPointResult};
-use littles::Nanos;
-
-// Aggregate offered load: hot enough that a crashed hot shard's traffic
-// meaningfully loads its failover replica, comfortably below tier
-// saturation so the oracle's tail stays tight.
-const RATE: f64 = 30_000.0;
-const NUM_CLIENTS: usize = 4;
-const NUM_SHARDS: usize = 4;
-const HOT_FRACTION: f64 = 0.7;
-// The failover grid pins its own measurement window and seed rather
-// than the shared figure params: the crash lands a quarter into the
-// window and the brownout duty cycle was tuned against this exact
-// horizon, and the seed fixes which shard owns the hot key pool.
-const MEASURE: Nanos = Nanos::from_millis(800);
-const SEED: u64 = 0xFA11;
-
-fn json_us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "null".into())
-}
+use e2e_apps::FailoverPointResult;
 
 fn point_json(r: &FailoverPointResult) -> String {
     format!(
@@ -103,95 +83,8 @@ fn to_json(data: &FailoverData) -> String {
 
 fn main() {
     println!("=== Failover: shard faults vs the proxy defense ladder ===\n");
-    let data = failover(
-        RATE,
-        NUM_CLIENTS,
-        NUM_SHARDS,
-        HOT_FRACTION,
-        WARMUP,
-        MEASURE,
-        SEED,
-    );
-
-    for c in &data.cells {
-        println!(
-            "scenario {:<13} oracle: p99 {:>8}µs goodput {:>7.0} rps",
-            c.scenario.label(),
-            json_us(c.oracle.measured_p99),
-            c.oracle.achieved_rps,
-        );
-        for (arm, r) in &c.arms {
-            println!(
-                "  {:>12} | p99 {:>9}µs ({:>6}) | {:>7.0} rps | t/o {:>4} retry {:>4} hedge {:>4} trips {:>2} dedup {:>4}",
-                arm.label(),
-                json_us(r.measured_p99),
-                c.p99_ratio(*arm)
-                    .map(|x| format!("{x:.1}x"))
-                    .unwrap_or_else(|| "n/a".into()),
-                r.achieved_rps,
-                r.timeouts,
-                r.retries,
-                r.hedges,
-                r.breaker_trips,
-                r.dedup_hits,
-            );
-        }
-    }
-
-    std::fs::write("BENCH_failover.json", to_json(&data)).expect("write BENCH_failover.json");
-    println!("\nwrote BENCH_failover.json ({} cells)", data.cells.len());
-
-    // Per-cell gates: clean oracle, engaged fault, full stack within the
-    // acceptance bound everywhere.
-    for c in &data.cells {
-        assert!(
-            c.oracle.samples > 0 && c.oracle.failed == 0 && c.oracle.upstream_resets == 0,
-            "{}: oracle run was not clean",
-            c.scenario.label()
-        );
-        let full = c.arm(FailoverArm::Full);
-        assert!(
-            full.upstream_resets + full.timeouts + full.hedges > 0,
-            "{}: fault plan never engaged the full stack",
-            c.scenario.label()
-        );
-        assert!(
-            c.full_within_bound(FAILOVER_BOUND_FACTOR, FAILOVER_BOUND_SLACK),
-            "{}: full stack p99 {:?} / goodput {:.0} outside \
-             {FAILOVER_BOUND_FACTOR}x+{:?} of oracle p99 {:?} / goodput {:.0}",
-            c.scenario.label(),
-            full.measured_p99,
-            full.achieved_rps,
-            FAILOVER_BOUND_SLACK,
-            c.oracle.measured_p99,
-            c.oracle.achieved_rps,
-        );
-    }
-
-    // Headline: the ladder is non-vacuous. The naive proxy collapsed
-    // somewhere, and every defense mechanism actually fired.
-    assert!(
-        data.cells
-            .iter()
-            .any(|c| c.naive_collapsed(FAILOVER_NAIVE_FACTOR)),
-        "no cell pushed the naive proxy past {FAILOVER_NAIVE_FACTOR}x oracle p99"
-    );
-    let (mut retries, mut hedges, mut trips, mut dedups) = (0, 0, 0, 0);
-    for c in &data.cells {
-        let full = c.arm(FailoverArm::Full);
-        retries += full.retries + c.arm(FailoverArm::Retry).retries;
-        hedges += full.hedges;
-        trips += full.breaker_trips;
-        dedups += full.dedup_hits + c.arm(FailoverArm::Retry).dedup_hits;
-    }
-    assert!(retries > 0, "no retry ever granted across the grid");
-    assert!(hedges > 0, "no hedge ever granted across the grid");
-    assert!(trips > 0, "no breaker ever tripped across the grid");
-    assert!(dedups > 0, "idempotency window never deduplicated a write");
-    println!(
-        "gates: full stack within {FAILOVER_BOUND_FACTOR}x+{}µs everywhere; \
-         naive collapsed; retries {retries}, hedges {hedges}, trips {trips}, \
-         dedups {dedups} — OK",
-        FAILOVER_BOUND_SLACK.as_micros_f64()
-    );
+    let data = FailoverGrid::FULL.sweep();
+    print!("{}", data.table());
+    write_json("BENCH_failover.json", &to_json(&data));
+    assert_gates("failover", &data.violations());
 }

@@ -2,55 +2,26 @@
 //! load spreads across more connections, and whether the aggregate
 //! estimate keeps tracking the measured aggregate.
 //!
-//! Prints the per-N sweep tables and writes `BENCH_fanin.json` — a
-//! stable, hand-rolled JSON document in the same style as
-//! `xtask -- lint --json`.
+//! Prints the per-N sweep tables, writes `BENCH_fanin.json` — a stable,
+//! hand-rolled JSON document in the same style as
+//! `xtask -- lint --json` — and fails on any violated gate.
 //!
 //! ```sh
 //! cargo bench -p bench --bench fanin
 //! ```
 
-use bench::params::{MEASURE, SEED, WARMUP};
-use e2e_apps::experiments::fanin;
-use littles::Nanos;
+use bench::{json_us, write_json};
+use e2e_apps::experiments::{assert_gates, FaninData, FaninGrid};
 
-const NS: [usize; 6] = [1, 4, 16, 64, 256, 1024];
-const RATES: [f64; 5] = [40_000.0, 60_000.0, 75_000.0, 88_000.0, 105_000.0];
-
-fn fmt(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "n/a".into())
-}
-
-fn json_us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
+fn json_rate(r: Option<f64>) -> String {
+    r.map(|v| format!("{v:.0}"))
         .unwrap_or_else(|| "null".into())
 }
 
-fn json_rate(r: Option<f64>) -> String {
-    r.map(|v| format!("{v:.0}")).unwrap_or_else(|| "null".into())
-}
-
-fn main() {
-    println!("=== Fan-in: aggregate load over N connections ===\n");
-    let data = fanin(&NS, &RATES, WARMUP, MEASURE, SEED);
-
+fn to_json(data: &FaninData) -> String {
     let mut rows = Vec::new();
     for row in &data.rows {
-        println!("--- N = {} ---", row.num_clients);
-        println!(
-            "{:>8} | {:>9} {:>9} | {:>9} {:>9}",
-            "rate", "off-meas", "off-est", "on-meas", "on-est"
-        );
         for p in &row.sweep.rows {
-            println!(
-                "{:>8.0} | {:>9} {:>9} | {:>9} {:>9}",
-                p.rate_rps,
-                fmt(p.off.measured_mean),
-                fmt(p.off.estimated_bytes),
-                fmt(p.on.measured_mean),
-                fmt(p.on.estimated_bytes),
-            );
             rows.push(format!(
                 "    {{\"num_clients\": {}, \"rate_rps\": {:.0}, \"off_meas_us\": {}, \"off_est_us\": {}, \"on_meas_us\": {}, \"on_est_us\": {}}}",
                 row.num_clients,
@@ -61,12 +32,7 @@ fn main() {
                 json_us(p.on.estimated_bytes),
             ));
         }
-        println!(
-            "cutoff: measured {:?} vs byte-estimated {:?}\n",
-            row.cutoff_measured, row.cutoff_estimated
-        );
     }
-
     let cutoffs: Vec<String> = data
         .rows
         .iter()
@@ -79,13 +45,18 @@ fn main() {
             )
         })
         .collect();
-
-    let doc = format!(
+    format!(
         "{{\n  \"version\": 1,\n  \"bench\": \"fanin\",\n  \"count\": {},\n  \"rows\": [\n{}\n  ],\n  \"cutoffs\": [\n{}\n  ]\n}}\n",
         rows.len(),
         rows.join(",\n"),
         cutoffs.join(",\n")
-    );
-    std::fs::write("BENCH_fanin.json", &doc).expect("write BENCH_fanin.json");
-    println!("wrote BENCH_fanin.json ({} rows)", data.rows.len() * RATES.len());
+    )
+}
+
+fn main() {
+    println!("=== Fan-in: aggregate load over N connections ===\n");
+    let data = FaninGrid::FULL.sweep();
+    print!("{}", data.table());
+    write_json("BENCH_fanin.json", &to_json(&data));
+    assert_gates("fanin", &data.violations());
 }

@@ -64,7 +64,7 @@ impl App for Writer {
         let sock = self.sock.expect("connected");
         if token == u64::MAX {
             let (_, on) = self.toggle_at.expect("toggle scheduled");
-            ctx.set_nagle(sock, on);
+            ctx.apply(sock, KnobSetting::Nagle(on));
         } else {
             let len = self.writes[token as usize].1;
             ctx.send(sock, &Payload::from(vec![0xAB; len]));
@@ -171,7 +171,7 @@ fn toggling_off_flushes_a_held_tail() {
     let held = sim.host(0).socket(SocketId(0)).stats().nagle_holds;
     assert!(held > 0, "tail held while batching on");
 
-    // Toggle off: the flush happens inside set_nagle.
+    // Toggle off: the flush happens inside apply.
     sim.host_mut(0); // (no direct ctx here; emulate via another call)
     let client_writes_done = sim.client().writes.len();
     assert_eq!(client_writes_done, 2);

@@ -7,86 +7,27 @@
 //! no-Nagle baseline only collapses on the shared server CPU — and the
 //! throughput-weighted aggregate estimate keeps identifying the cutoff.
 //!
+//! Both grids and every acceptance gate are declared once in
+//! `e2e_apps::experiments::FaninGrid`; `--smoke` runs the short CI grid.
+//! The bench (`cargo bench -p bench --bench fanin`) runs the full grid
+//! into `BENCH_fanin.json`.
+//!
 //! ```sh
-//! cargo run --release --example fanin            # full N sweep
-//! cargo run --release --example fanin -- --smoke # quick N=4 CI check
+//! cargo run --release --example fanin            # full grid
+//! cargo run --release --example fanin -- --smoke # quick CI gate
 //! ```
 
-use e2e_apps::experiments::fanin;
-use littles::Nanos;
-
-fn us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "n/a".into())
-}
+use e2e_apps::experiments::{assert_gates, FaninGrid};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (ns, rates, warmup, measure) = if smoke {
-        (
-            vec![4usize],
-            vec![40_000.0, 80_000.0],
-            Nanos::from_millis(50),
-            Nanos::from_millis(150),
-        )
+    let grid = if smoke {
+        FaninGrid::SMOKE
     } else {
-        (
-            vec![1usize, 4, 16, 64, 256, 1024],
-            vec![
-                20_000.0, 40_000.0, 60_000.0, 75_000.0, 88_000.0, 105_000.0,
-            ],
-            Nanos::from_millis(200),
-            Nanos::from_millis(600),
-        )
+        FaninGrid::FULL
     };
-
-    let data = fanin(&ns, &rates, warmup, measure, 0xFA41);
-
-    for row in &data.rows {
-        println!("=== fan-in N = {} ===", row.num_clients);
-        println!(
-            "{:>8} | {:>9} {:>9} | {:>9} {:>9} | {:>8}",
-            "rate", "off-meas", "off-est", "on-meas", "on-est", "achieved"
-        );
-        for p in &row.sweep.rows {
-            println!(
-                "{:>8.0} | {:>9} {:>9} | {:>9} {:>9} | {:>8.0}",
-                p.rate_rps,
-                us(p.off.measured_mean),
-                us(p.off.estimated_bytes),
-                us(p.on.measured_mean),
-                us(p.on.estimated_bytes),
-                p.off.achieved_rps,
-            );
-        }
-        println!(
-            "cutoff: measured {:?} vs byte-estimated {:?}\n",
-            row.cutoff_measured, row.cutoff_estimated
-        );
-    }
-
-    if smoke {
-        // CI gate: the fan-in path must exercise every connection.
-        for row in &data.rows {
-            for p in &row.sweep.rows {
-                for point in [&p.off, &p.on] {
-                    assert_eq!(point.num_clients, row.num_clients);
-                    assert_eq!(point.per_client.len(), row.num_clients);
-                    for (i, c) in point.per_client.iter().enumerate() {
-                        assert!(
-                            c.samples > 0,
-                            "client {i} measured no samples at {} RPS",
-                            p.rate_rps
-                        );
-                    }
-                }
-            }
-        }
-        println!("fanin smoke: OK (N=4, all connections carried traffic)");
-    } else {
-        println!("cutoff shift with N: ");
-        for row in &data.rows {
-            println!("  N={:>3}: {:?}", row.num_clients, row.cutoff_measured);
-        }
-    }
+    let data = grid.sweep();
+    print!("{}", data.table());
+    assert_gates("fanin", &data.violations());
+    println!("fanin: OK ({} rows, every gate holds)", data.rows.len());
 }

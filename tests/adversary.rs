@@ -44,8 +44,10 @@ fn guarded_cfg(n: usize, fault: FaultConfig) -> RunConfig {
         },
         ..RunConfig::new(
             WorkloadSpec::fig4a(24_000.0),
-            NagleSetting::Dynamic {
+            NagleSetting::Plane {
                 objective: Objective::MinLatency,
+                delack: false,
+                cork: false,
             },
         )
     }

@@ -9,7 +9,7 @@
 //! trips the circuit-breaker fallback path.
 
 use e2e_batching::e2e_apps::experiments::{
-    chaos, ChaosClass, CHAOS_BOUND_FACTOR, CHAOS_BOUND_SLACK, CHAOS_STALENESS_BOUND,
+    ChaosClass, ChaosGrid, CHAOS_BOUND_FACTOR, CHAOS_BOUND_SLACK, CHAOS_STALENESS_BOUND,
 };
 use e2e_batching::e2e_apps::{
     run_point, CostProfile, LancetClient, NagleSetting, RedisServer, RunConfig, WorkloadSpec,
@@ -68,8 +68,10 @@ fn faulted_adaptive_run_is_deterministic() {
     let cfg = RunConfig {
         staleness_bound: Some(CHAOS_STALENESS_BOUND),
         breaker: Some(e2e_batching::batchpolicy::BreakerConfig::default()),
-        ..faulted_n8_cfg(NagleSetting::Dynamic {
+        ..faulted_n8_cfg(NagleSetting::Plane {
             objective: e2e_batching::batchpolicy::Objective::MinLatency,
+            delack: false,
+            cork: false,
         })
     };
     let a = run_point(&cfg);
@@ -176,15 +178,16 @@ fn invariant_gates_nonvacuous_under_reorder_dup_loss() {
 /// cell — where shared snapshots go stale — trips the breaker fallback.
 #[test]
 fn adaptive_policy_bounded_and_fallback_trips_under_blackout() {
-    let data = chaos(
-        &[ChaosClass::Loss, ChaosClass::Blackout],
-        &[1.0],
-        &[4],
-        24_000.0,
-        Nanos::from_millis(50),
-        Nanos::from_millis(150),
-        0xC4A05,
-    );
+    let data = ChaosGrid {
+        classes: &[ChaosClass::Loss, ChaosClass::Blackout],
+        intensities: &[1.0],
+        ns: &[4],
+        rate_rps: 24_000.0,
+        warmup: Nanos::from_millis(50),
+        measure: Nanos::from_millis(150),
+        seed: 0xC4A05,
+    }
+    .sweep();
     assert_eq!(data.cells.len(), 2);
     for c in &data.cells {
         for (label, p) in [("off", &c.off), ("on", &c.on), ("adaptive", &c.adaptive)] {

@@ -19,8 +19,10 @@ fn cfg(rate: f64, nagle: NagleSetting) -> RunConfig {
 }
 
 fn dynamic() -> NagleSetting {
-    NagleSetting::Dynamic {
+    NagleSetting::Plane {
         objective: Objective::MinLatency,
+        delack: false,
+        cork: false,
     }
 }
 

@@ -4,14 +4,23 @@
 //! delayed-ACK + cork limit all adaptive — replays bit-identically
 //! across executions, per-knob counters included; (b) a plane with only
 //! the Nagle knob attached is *bitwise* indistinguishable from the
-//! pre-existing single-knob Dynamic policy, at N = 1 and N = 8 — the
-//! refactor onto the unified actuation path must be a pure
-//! generalization, not a behavior change.
+//! retired single-knob Dynamic policy, at N = 1 and N = 8 — its golden
+//! digest was recorded from that policy's runs, so folding the policy
+//! into the plane stays a pure generalization, not a behavior change.
 
-use e2e_batching::batchpolicy::Objective;
+mod common;
+
+use common::{check_or_bless, digest_point, fmt_f64, fmt_ns};
+use e2e_batching::batchpolicy::{BreakerConfig, Objective};
+use e2e_batching::e2e_apps::experiments::{
+    adversary_breaker, AdversaryClass, ChaosClass, CHAOS_STALENESS_BOUND,
+};
 use e2e_batching::e2e_apps::runner::{run_point, Overrides, PointResult, RunConfig};
 use e2e_batching::e2e_apps::{NagleSetting, WorkloadSpec};
+use e2e_batching::e2e_core::ValidateConfig;
 use e2e_batching::littles::Nanos;
+
+const NAGLE_PLANE_GOLDEN_PATH: &str = "tests/golden/nagle_plane_digest.txt";
 
 fn knobs_cfg(nagle: NagleSetting, num_clients: usize) -> RunConfig {
     RunConfig {
@@ -97,35 +106,99 @@ fn joint_plane_n8_run_is_deterministic() {
     );
 }
 
-/// (b) A plane with only the Nagle knob attached is the single-knob
-/// Dynamic policy, bit for bit: same seeds, same decision stream, same
-/// actuation (one Nagle setting per tick through the apply path), so
-/// every measured quantity matches exactly.
+/// The adaptive configurations the Nagle-only plane is pinned on: the
+/// plain knob-grid cell, the chaos grid's adaptive arm (staleness bound,
+/// default breaker, bursty loss) and the adversary grid's guarded arm
+/// (validator, pessimistic breaker, exchange corruption).
+fn pinned_cfgs() -> Vec<(String, RunConfig)> {
+    let nagle = NagleSetting::Plane {
+        objective: Objective::MinLatency,
+        delack: false,
+        cork: false,
+    };
+    let rto = Overrides {
+        min_rto: Some(Nanos::from_millis(5)),
+        max_rto: Some(Nanos::from_millis(40)),
+        ..Overrides::default()
+    };
+    let mut cfgs = Vec::new();
+    for n in [1usize, 8] {
+        cfgs.push((format!("plain/N={n}"), knobs_cfg(nagle, n)));
+        cfgs.push((
+            format!("chaos-loss/N={n}"),
+            RunConfig {
+                // Light enough per connection that N = 1 stays clear of
+                // the go-back-N loss collapse and still measures.
+                workload: WorkloadSpec::fig4a(12_000.0),
+                fault: ChaosClass::Loss.fault_at(1.0),
+                staleness_bound: Some(CHAOS_STALENESS_BOUND),
+                breaker: Some(BreakerConfig::default()),
+                overrides: rto,
+                ..knobs_cfg(nagle, n)
+            },
+        ));
+        cfgs.push((
+            format!("adversary-corrupt/N={n}"),
+            RunConfig {
+                workload: WorkloadSpec::fig4a(95_000.0),
+                fault: AdversaryClass::Corrupt.fault_at(1.0),
+                staleness_bound: Some(CHAOS_STALENESS_BOUND),
+                breaker: Some(adversary_breaker()),
+                validate: Some(ValidateConfig::default()),
+                overrides: rto,
+                ..knobs_cfg(nagle, n)
+            },
+        ));
+    }
+    cfgs
+}
+
+/// One digest line per pinned run: every field the golden digest covers
+/// plus the policy's own outputs (decision mix, breaker trips, listener
+/// aggregate, validator verdicts) and each connection's slice.
+fn pinned_digest() -> String {
+    let mut lines = Vec::new();
+    for (label, cfg) in pinned_cfgs() {
+        let r = run_point(&cfg);
+        assert!(r.samples > 0, "{label}: the run must measure traffic");
+        let v = r.validation.unwrap_or_default();
+        let mut line = format!(
+            "{} on={:?}/{:?} trips={:?}/{:?} agg={} valid={}/{}/{} faults={}",
+            digest_point(&label, &r),
+            opt_bits(r.client_on_fraction),
+            opt_bits(r.server_on_fraction),
+            r.client_breaker_trips,
+            r.server_breaker_trips,
+            fmt_ns(r.server_aggregate_latency),
+            v.accepted,
+            v.rejected,
+            v.epoch_changes,
+            r.link_faults.iter().map(|f| f.total()).sum::<u64>(),
+        );
+        for c in &r.per_client {
+            line.push_str(&format!(
+                " [{} {} {}]",
+                c.samples,
+                fmt_ns(c.measured_mean),
+                fmt_f64(c.achieved_rps)
+            ));
+        }
+        lines.push(line);
+    }
+    lines.join("\n") + "\n"
+}
+
+/// (b) A plane with only the Nagle knob attached is the retired
+/// single-knob Dynamic policy, bit for bit: same seeds, same decision
+/// stream, same actuation (one Nagle setting per tick through the apply
+/// path), so every measured quantity matches the digest recorded from
+/// that policy — on the plain grid and under the chaos and adversary
+/// stacks, at N = 1 and N = 8.
 #[test]
 fn nagle_only_plane_is_bitwise_identical_to_dynamic() {
-    for n in [1usize, 8] {
-        let plane = run_point(&knobs_cfg(
-            NagleSetting::Plane {
-                objective: Objective::MinLatency,
-                delack: false,
-                cork: false,
-            },
-            n,
-        ));
-        let dynamic = run_point(&knobs_cfg(
-            NagleSetting::Dynamic {
-                objective: Objective::MinLatency,
-            },
-            n,
-        ));
-        assert!(plane.samples > 0, "N={n}: the run must measure traffic");
-        assert_bitwise_equal(&plane, &dynamic);
-        // The single-knob plane reports the same decision mix the
-        // dedicated Dynamic driver reports.
-        assert_eq!(
-            opt_bits(plane.client_on_fraction),
-            opt_bits(dynamic.client_on_fraction),
-            "N={n}: client decision streams diverged"
-        );
-    }
+    check_or_bless(
+        &pinned_digest(),
+        NAGLE_PLANE_GOLDEN_PATH,
+        "Nagle-only plane runs",
+    );
 }
