@@ -36,6 +36,17 @@ test -s crates/bench/BENCH_simperf.json
 grep -q '"bench": "simperf"' crates/bench/BENCH_simperf.json
 grep -q '"num_clients": 1024' crates/bench/BENCH_simperf.json
 
+# The repo benchmark (BENCHMARK.json) is a package with its own
+# workspace, so nothing above compiles it. Build and run it briefly on
+# both declared workloads: a library change that breaks what it uses
+# fails to build here, and any failed reproduction/identity/conservation
+# check (`CHECK FAILED`, exit 1) fails CI.
+for workload in adaptive_8 tier_brownout; do
+    echo "==> repo benchmark smoke ($workload, 1 s, traced)"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 >/dev/null
+done
+
 # Each acceptance experiment declares its smoke grid, full grid and
 # gates once (e2e_apps::experiments). The example runs the smoke grid
 # against the gates; the bench runs the full grid against the same gates

@@ -3,10 +3,11 @@
 //! Each host mirrors the paper's experimental machines: one pinned
 //! application context and one pinned softirq context ([`CpuContext`]s),
 //! plus a NIC whose transmit ring is what auto-corking watches. The host
-//! owns its sockets and the per-(socket, timer) generation counters used to
-//! cancel timers scheduled in the global event queue.
+//! owns its sockets and, per (socket, timer), the [`EventToken`] of the
+//! pending timer event in the global queue, so a re-arm or cancel removes
+//! the superseded event instead of letting it fire.
 
-use simnet::{CpuContext, Nanos};
+use simnet::{CpuContext, EventToken, Nanos};
 
 use crate::config::{CostConfig, TcpConfig};
 use crate::segment::{FlowId, Segment};
@@ -35,9 +36,10 @@ pub struct Host {
     flows: FlowMap<SocketId>,
     /// Packets handed to the NIC, not yet completed.
     nic_in_flight: u32,
-    /// Per-socket timer generation counters for cancellation, indexed by
-    /// `SocketId` and [`TimerKind`].
-    timer_gens: Vec<[u64; TimerKind::COUNT]>,
+    /// Per-socket pending timer events, indexed by `SocketId` and
+    /// [`TimerKind`]. A token may be stale (its event already fired);
+    /// cancelling a stale token is a no-op.
+    timers: Vec<[Option<EventToken>; TimerKind::COUNT]>,
     /// Total doorbells rung (one per transmit batch).
     pub doorbells: u64,
     /// Counter-state generations issued (wrapping); each registered socket
@@ -69,7 +71,7 @@ impl Host {
             sockets: Vec::new(),
             flows: FlowMap::new(),
             nic_in_flight: 0,
-            timer_gens: Vec::new(),
+            timers: Vec::new(),
             doorbells: 0,
             epochs_issued: 0,
             cork_waiters: Vec::new(),
@@ -85,7 +87,7 @@ impl Host {
         let id = SocketId(self.sockets.len());
         self.flows.set(sock.flow(), id);
         self.sockets.push(sock);
-        self.timer_gens.push([0; TimerKind::COUNT]);
+        self.timers.push([None; TimerKind::COUNT]);
         id
     }
 
@@ -162,24 +164,20 @@ impl Host {
         std::mem::swap(&mut self.cork_waiters, out);
     }
 
-    /// Bumps and returns the generation for a timer, invalidating any
-    /// previously scheduled instance.
+    /// The token of a socket timer's pending event (`None` when the timer
+    /// was never armed or was cancelled). Arming stores the new event's
+    /// token here after cancelling the old one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid socket id.
     // hot-path: runs on every timer arm/cancel; must not allocate per call
-    pub fn bump_timer(&mut self, sock: SocketId, kind: TimerKind) -> u64 {
-        if sock.0 >= self.timer_gens.len() {
-            self.timer_gens.resize_with(sock.0 + 1, || [0; TimerKind::COUNT]);
-        }
-        let gen = &mut self.timer_gens[sock.0][kind as usize];
-        *gen += 1;
-        *gen
-    }
-
-    /// Current generation for a timer.
-    // hot-path: runs on every timer fire; must not allocate per call
-    pub fn timer_gen(&self, sock: SocketId, kind: TimerKind) -> u64 {
-        self.timer_gens
-            .get(sock.0)
-            .map_or(0, |gens| gens[kind as usize])
+    pub(crate) fn timer_token(
+        &mut self,
+        sock: SocketId,
+        kind: TimerKind,
+    ) -> &mut Option<EventToken> {
+        &mut self.timers[sock.0][kind as usize]
     }
 
     /// Softirq receive cost for a segment: one per-delivery charge (the
@@ -206,8 +204,8 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
     use crate::socket::Action;
-use crate::payload::Payload;
     use littles::Nanos;
 
     fn host() -> Host {
@@ -240,20 +238,6 @@ use crate::payload::Payload;
         assert_eq!(h.nic_in_flight(), 2);
         h.nic_complete(10);
         assert_eq!(h.nic_in_flight(), 0, "saturates at zero");
-    }
-
-    #[test]
-    fn timer_generations_invalidate() {
-        let mut h = host();
-        let s = SocketId(0);
-        assert_eq!(h.timer_gen(s, TimerKind::Rto), 0);
-        let g1 = h.bump_timer(s, TimerKind::Rto);
-        assert_eq!(g1, 1);
-        let g2 = h.bump_timer(s, TimerKind::Rto);
-        assert_eq!(g2, 2);
-        assert_eq!(h.timer_gen(s, TimerKind::Rto), 2);
-        // Independent per timer kind.
-        assert_eq!(h.timer_gen(s, TimerKind::Delack), 0);
     }
 
     #[test]

@@ -28,6 +28,19 @@
 //! go. This mirrors how an epoll-driven server actually runs and is what
 //! makes application batching (one wakeup amortized over several requests)
 //! emerge naturally under load, as in the paper's Figure 1.
+//!
+//! ## Events
+//!
+//! Every [`Event`] is a small handle (at most 32 bytes, asserted at
+//! compile time), since the timer wheel stores one per queued event.
+//! A segment in flight lives in the core's segment slab from transmit
+//! to TCP input; its events carry a [`SegRef`]. A socket timer has at
+//! most one queued event: the host keeps its [`EventToken`], and
+//! re-arming or cancelling the timer cancels that event (a restart or
+//! shard crash cancels all of a socket's timers), so every `Timer` event
+//! that fires is live.
+//!
+//! [`EventToken`]: simnet::EventToken
 
 use crate::payload::Payload;
 use littles::{Nanos, Snapshot};
@@ -48,23 +61,28 @@ use crate::table::FlowMap;
 const NIC_COMPLETION_DELAY: Nanos = Nanos::from_micros(2);
 
 /// The simulation's event alphabet.
-#[derive(Debug, Clone)]
+///
+/// Every variant is a few words: a segment in flight rides as a
+/// [`SegRef`] into the simulation's segment slab, not by value, so a wheel
+/// cell stays small however large a [`Segment`] (with its options) is.
+#[derive(Debug)]
 pub enum Event {
     /// A segment finished traversing a link and reached `dst`'s NIC.
     Deliver {
         /// Destination host.
         dst: HostId,
-        /// The segment.
-        seg: Segment,
+        /// The segment, parked in the segment slab.
+        seg: SegRef,
     },
     /// Softirq finished processing a received segment; run TCP input.
     SoftirqRx {
         /// Receiving host.
         host: HostId,
-        /// The segment.
-        seg: Segment,
+        /// The segment, parked in the segment slab.
+        seg: SegRef,
     },
-    /// A socket timer fired.
+    /// A socket timer fired. A re-armed or cancelled timer's superseded
+    /// event is removed from the queue, so every fire is live.
     Timer {
         /// Host the socket lives on.
         host: HostId,
@@ -72,8 +90,6 @@ pub enum Event {
         sock: SocketId,
         /// Which timer.
         kind: TimerKind,
-        /// Generation at scheduling time (stale generations are ignored).
-        gen: u64,
     },
     /// The stack wants the application's attention (softirq context).
     AppWake {
@@ -105,6 +121,80 @@ pub enum Event {
     /// loses all socket state, and so does the far (proxy) end of every
     /// connection terminating there — both sides wake with `Reset`.
     ShardCrash,
+}
+
+// The event is what the timer wheel stores per cell; keep it a handle.
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
+
+/// A handle to a segment in flight: the segment-slab slot an
+/// [`Event::Deliver`] or [`Event::SoftirqRx`] carries instead of the
+/// segment itself. Deliberately not `Clone`: each stored segment has
+/// exactly one handle, and TCP input consumes it to free the slot.
+#[derive(Debug)]
+pub struct SegRef(u32);
+
+/// Segments in flight, between transmit and TCP input, in recycled slots.
+///
+/// A transmit stores the segment once; delivery and softirq processing
+/// read it in place through the [`SegRef`] and TCP input frees the slot.
+/// Freed slots go on a free list, so storage grows only to the high-water
+/// mark of segments simultaneously in flight and steady state allocates
+/// nothing (the same discipline as the timer wheel's cell slab).
+#[derive(Debug, Default)]
+pub(crate) struct SegmentSlab {
+    slots: Vec<Option<Segment>>,
+    free: Vec<u32>,
+    live: usize,
+}
+
+impl SegmentSlab {
+    /// Parks `seg`, returning its handle.
+    // hot-path: runs once per segment put on the wire; must not allocate per call in steady state
+    fn store(&mut self, seg: Segment) -> SegRef {
+        self.live += 1;
+        if let Some(idx) = self.free.pop() {
+            self.slots[idx as usize] = Some(seg);
+            return SegRef(idx);
+        }
+        let idx = u32::try_from(self.slots.len()).expect("segment slab capacity");
+        self.slots.push(Some(seg));
+        SegRef(idx)
+    }
+
+    /// The segment behind a live handle.
+    // hot-path: runs on every delivery and softirq receive
+    fn get(&self, seg: &SegRef) -> &Segment {
+        let Some(Some(seg)) = self.slots.get(seg.0 as usize) else {
+            unreachable!("a SegRef names a live slot")
+        };
+        seg
+    }
+
+    /// Drops the segment and recycles its slot.
+    // hot-path: runs once per segment consumed by TCP input
+    fn release(&mut self, seg: SegRef) {
+        self.slots[seg.0 as usize] = None;
+        self.free.push(seg.0);
+        self.live -= 1;
+    }
+
+    /// Live segments and the high-water mark.
+    pub(crate) fn usage(&self) -> SlabUsage {
+        SlabUsage {
+            live: self.live,
+            high_water: self.slots.len(),
+        }
+    }
+}
+
+/// Occupancy of a simulation's segment slab.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlabUsage {
+    /// Segments currently in flight (delivered or queued for softirq, not
+    /// yet consumed by TCP input).
+    pub live: usize,
+    /// Slots ever allocated: the most segments simultaneously in flight.
+    pub high_water: usize,
 }
 
 /// Which CPU context pays for transmit work triggered by socket actions.
@@ -168,9 +258,7 @@ pub struct HostCtx<'a> {
     /// This host's deterministic randomness stream.
     pub rng: &'a mut Pcg32,
     queue: &'a mut EventQueue<Event>,
-    topology: &'a mut Topology,
-    routes: &'a mut FlowMap<FlowRoute>,
-    faults: &'a mut Option<FaultPlan>,
+    net: &'a mut Network,
     next_flow: &'a mut u64,
     /// Shared scratch buffer for socket actions; `apply_actions` drains
     /// it, so it is empty between events and never reallocated in steady
@@ -209,7 +297,7 @@ impl HostCtx<'_> {
         *self.next_flow += 1;
         // Segments of this flow are delivered to whichever end did not
         // send them.
-        self.routes.set(
+        self.net.routes.set(
             flow,
             FlowRoute {
                 initiator: self.host_id,
@@ -222,11 +310,9 @@ impl HostCtx<'_> {
         self.host.app_cpu.run(now, syscall);
         apply_actions(
             self.host,
-            self.topology,
-            self.routes,
+            self.net,
             self.queue,
             self.rng,
-            self.faults,
             id,
             self.actions,
             Charge::App,
@@ -255,11 +341,9 @@ impl HostCtx<'_> {
             .send(now, data, env, self.actions);
         apply_actions(
             self.host,
-            self.topology,
-            self.routes,
+            self.net,
             self.queue,
             self.rng,
-            self.faults,
             sock,
             self.actions,
             Charge::App,
@@ -283,11 +367,9 @@ impl HostCtx<'_> {
         let out = self.host.socket_mut(sock).recv(now, max, self.actions);
         apply_actions(
             self.host,
-            self.topology,
-            self.routes,
+            self.net,
             self.queue,
             self.rng,
-            self.faults,
             sock,
             self.actions,
             Charge::App,
@@ -304,11 +386,9 @@ impl HostCtx<'_> {
         self.host.socket_mut(sock).close(now, env, self.actions);
         apply_actions(
             self.host,
-            self.topology,
-            self.routes,
+            self.net,
             self.queue,
             self.rng,
-            self.faults,
             sock,
             self.actions,
             Charge::App,
@@ -367,11 +447,9 @@ impl HostCtx<'_> {
         if !self.actions.is_empty() {
             apply_actions(
                 self.host,
-                self.topology,
-                self.routes,
+                self.net,
                 self.queue,
                 self.rng,
-                self.faults,
                 sock,
                 self.actions,
                 Charge::App,
@@ -393,11 +471,9 @@ impl HostCtx<'_> {
             .poll_transmit(now, env, self.actions);
         apply_actions(
             self.host,
-            self.topology,
-            self.routes,
+            self.net,
             self.queue,
             self.rng,
-            self.faults,
             sock,
             self.actions,
             Charge::App,
@@ -415,14 +491,11 @@ impl HostCtx<'_> {
 /// app wakes. The destination host comes from the flow's [`FlowRoute`]
 /// (registered at `connect_to` time): whichever end did not send the
 /// segment receives it.
-#[allow(clippy::too_many_arguments)]
 fn apply_actions(
     host: &mut Host,
-    topology: &mut Topology,
-    routes: &FlowMap<FlowRoute>,
+    net: &mut Network,
     queue: &mut EventQueue<Event>,
     rng: &mut Pcg32,
-    faults: &mut Option<FaultPlan>,
     sock: SocketId,
     actions: &mut Vec<Action>,
     charge: Charge,
@@ -447,13 +520,14 @@ fn apply_actions(
                     Charge::App => host.app_cpu.busy_until(),
                     Charge::Softirq => host.softirq_cpu.busy_until(),
                 };
-                let dst = routes
+                let dst = net
+                    .routes
                     .get(seg.flow)
                     .expect("transmit on an unrouted flow")
                     .other(host_id);
                 let wire_len = seg.wire_len();
-                let (link_id, a_to_b) = topology.hop_index(host_id, dst);
-                let link = topology.directed_mut(link_id, a_to_b);
+                let (link_id, a_to_b) = net.topology.hop_index(host_id, dst);
+                let link = net.topology.directed_mut(link_id, a_to_b);
                 let mut arrival = link.transmit_lossy(depart, wire_len, rng);
                 let serialized_at = link.busy_until().max(depart);
                 queue.schedule_at(
@@ -468,11 +542,13 @@ fn apply_actions(
                 // Handshake segments are exempt so a duplicated SYN can't
                 // mint phantom server sockets.
                 let mut duplicate = false;
-                if let (Some(plan), Some(t)) = (faults.as_mut(), arrival) {
+                if let (Some(plan), Some(t)) = (net.faults.as_mut(), arrival) {
                     if !seg.flags.syn {
                         let decision = plan.on_transmit(link_id, a_to_b, depart);
                         if decision.drop {
-                            topology.directed_mut(link_id, a_to_b).record_drop(wire_len);
+                            net.topology
+                                .directed_mut(link_id, a_to_b)
+                                .record_drop(wire_len);
                             arrival = None;
                         } else {
                             arrival = Some(t + decision.extra_delay);
@@ -493,14 +569,15 @@ fn apply_actions(
                 }
                 if let Some(arrival) = arrival {
                     if duplicate {
+                        // The duplicate is a separate packet with a slot
+                        // (and a TCP input) of its own.
+                        let copy = net.segments.store(seg.clone());
                         queue.schedule_at(
                             arrival + Nanos::from_micros(1),
-                            Event::Deliver {
-                                dst,
-                                seg: seg.clone(),
-                            },
+                            Event::Deliver { dst, seg: copy },
                         );
                     }
+                    let seg = net.segments.store(seg);
                     queue.schedule_at(arrival, Event::Deliver { dst, seg });
                 }
             }
@@ -511,20 +588,18 @@ fn apply_actions(
                     // waiter list covering every corked socket.
                     host.note_cork_wait(sock);
                 }
-                let gen = host.bump_timer(sock, kind);
-                queue.schedule(
-                    delay,
-                    Event::Timer {
-                        host: host_id,
-                        sock,
-                        kind,
-                        gen,
-                    },
-                );
+                let pending = host.timer_token(sock, kind);
+                if let Some(superseded) = pending.take() {
+                    queue.cancel(superseded);
+                }
+                let event = Event::Timer {
+                    host: host_id,
+                    sock,
+                    kind,
+                };
+                *pending = Some(queue.schedule(delay, event));
             }
-            Action::CancelTimer(kind) => {
-                host.bump_timer(sock, kind);
-            }
+            Action::CancelTimer(kind) => cancel_timer(host, queue, sock, kind),
             Action::Wake(reason) => {
                 queue.schedule(
                     Nanos::ZERO,
@@ -546,6 +621,34 @@ fn apply_actions(
         cpu.run(now, host.costs.tx_doorbell);
         host.doorbells += 1;
     }
+}
+
+/// Removes a socket timer's pending event from the queue, if any.
+fn cancel_timer(host: &mut Host, queue: &mut EventQueue<Event>, sock: SocketId, kind: TimerKind) {
+    if let Some(token) = host.timer_token(sock, kind).take() {
+        queue.cancel(token);
+    }
+}
+
+/// Tears down a socket for a crash: its state is lost, its flow unbound
+/// (in-flight and retransmitted segments for the old connection become
+/// strays the softirq path drops), its pending timers removed, and the
+/// application woken with [`WakeReason::Reset`].
+fn crash_socket(host: &mut Host, queue: &mut EventQueue<Event>, sock: SocketId) {
+    let flow = host.socket(sock).flow();
+    host.socket_mut(sock).reset();
+    host.remove_flow(flow);
+    for kind in [TimerKind::Rto, TimerKind::Delack, TimerKind::Cork] {
+        cancel_timer(host, queue, sock, kind);
+    }
+    queue.schedule(
+        Nanos::ZERO,
+        Event::AppWake {
+            host: host.id,
+            sock,
+            reason: WakeReason::Reset,
+        },
+    );
 }
 
 /// Applies one deterministic bit flip to an exchange option. Fields
@@ -573,6 +676,19 @@ fn garble_e2e(opt: &mut E2eOption, target: CorruptTarget) {
     }
 }
 
+/// The network state every transmit touches, owned by [`SimCore`] and
+/// lent as one borrow to [`HostCtx`] and [`apply_actions`].
+pub(crate) struct Network {
+    pub(crate) topology: Topology,
+    /// Flow → endpoint pair, registered at `connect_to`.
+    pub(crate) routes: FlowMap<FlowRoute>,
+    /// Fault-injection state; `None` (the lossless default) is guaranteed
+    /// not to perturb the simulation in any way.
+    pub(crate) faults: Option<FaultPlan>,
+    /// Segments between transmit and TCP input.
+    pub(crate) segments: SegmentSlab,
+}
+
 /// What a non-application event resolved to: an application entry point
 /// the owning simulation must dispatch (it knows which app runs on which
 /// host — the core does not).
@@ -589,16 +705,12 @@ pub(crate) enum AppEvent {
 /// proxy simulation both wrap one of these; only app dispatch differs.
 pub(crate) struct SimCore {
     pub(crate) hosts: Vec<Host>,
-    pub(crate) topology: Topology,
-    /// Flow → endpoint pair, registered at `connect_to`.
-    pub(crate) routes: FlowMap<FlowRoute>,
+    /// Links, routes, faults and the segments in flight.
+    pub(crate) net: Network,
     /// Per-host RNG streams. Host 0 carries the legacy stream
     /// `Pcg32::new(seed)` (so N = 1 replays the two-host pair bit-for-bit);
     /// the rest are independent children forked from one splitter.
     pub(crate) rngs: Vec<Pcg32>,
-    /// Fault-injection state; `None` (the lossless default) is guaranteed
-    /// not to perturb the simulation in any way.
-    pub(crate) faults: Option<FaultPlan>,
     pub(crate) next_flow: u64,
     /// Reused socket-action buffer (see `HostCtx::actions`).
     pub(crate) scratch: Vec<Action>,
@@ -658,10 +770,13 @@ impl SimCore {
             .collect();
         SimCore {
             hosts,
-            topology,
-            routes: FlowMap::new(),
+            net: Network {
+                topology,
+                routes: FlowMap::new(),
+                faults: None,
+                segments: SegmentSlab::default(),
+            },
             rngs,
-            faults: None,
             next_flow: 1,
             scratch: Vec::new(),
             cork_scratch: Vec::new(),
@@ -686,17 +801,17 @@ impl SimCore {
                 self.hosts[first + b.shard].app_cpu.set_stall_schedule(b.windows);
             }
         }
-        let links = self.topology.num_links();
+        let links = self.net.topology.num_links();
         let mut plan = FaultPlan::new(config, seed, links);
         if let Some((first, _)) = self.shard_tier {
             plan.bind_shard_links(first - 1);
         }
-        self.faults = Some(plan);
+        self.net.faults = Some(plan);
     }
 
     /// Queues the first scheduled restart, when the fault plan has one.
     pub(crate) fn schedule_first_restart(&self, queue: &mut EventQueue<Event>) {
-        if let Some(rs) = self.faults.as_ref().and_then(|p| p.config().restart) {
+        if let Some(rs) = self.net.faults.as_ref().and_then(|p| p.config().restart) {
             queue.schedule_at(rs.first_at, Event::Restart);
         }
     }
@@ -707,7 +822,12 @@ impl SimCore {
         if self.shard_tier.is_none() {
             return;
         }
-        if let Some(cs) = self.faults.as_ref().and_then(|p| p.config().shard.crash) {
+        if let Some(cs) = self
+            .net
+            .faults
+            .as_ref()
+            .and_then(|p| p.config().shard.crash)
+        {
             queue.schedule_at(cs.first_at, Event::ShardCrash);
         }
     }
@@ -720,10 +840,8 @@ impl SimCore {
     ) -> HostCtx<'a> {
         let SimCore {
             hosts,
-            topology,
-            routes,
+            net,
             rngs,
-            faults,
             next_flow,
             scratch,
             default_peers,
@@ -734,9 +852,7 @@ impl SimCore {
             host: &mut hosts[h.index()],
             rng: &mut rngs[h.index()],
             queue,
-            topology,
-            routes,
-            faults,
+            net,
             next_flow,
             actions: scratch,
             default_peer: default_peers[h.index()],
@@ -756,46 +872,43 @@ impl SimCore {
         match event {
             Event::Deliver { dst, seg } => {
                 let host = &mut self.hosts[dst.index()];
-                let cost = host.rx_cost(&seg);
+                let cost = host.rx_cost(self.net.segments.get(&seg));
                 let done = host.softirq_cpu.run(now, cost);
                 queue.schedule_at(done, Event::SoftirqRx { host: dst, seg });
             }
-            Event::SoftirqRx { host: h, seg } => {
+            Event::SoftirqRx { host: h, seg: handle } => {
                 let host = &mut self.hosts[h.index()];
                 let env = TxEnv {
                     nic_in_flight: host.nic_in_flight(),
                 };
+                let seg = self.net.segments.get(&handle);
                 let sock_id = match host.socket_for_flow(seg.flow) {
                     Some(id) => {
                         let sock = host.socket_mut(id);
-                        sock.on_segment(now, &seg, env, &mut self.scratch);
+                        sock.on_segment(now, seg, env, &mut self.scratch);
                         // Conservation gates run after every stack entry
                         // point (debug builds only; see tcpsim::invariants).
                         if cfg!(debug_assertions) {
                             crate::invariants::gate(sock.check_invariants(now));
                         }
-                        id
+                        Some(id)
                     }
                     None if seg.flags.syn && !seg.flags.ack => {
                         let config = host.accept_config;
-                        let sock = TcpSocket::server_on_syn(
-                            seg.flow,
-                            config,
-                            now,
-                            &seg,
-                            &mut self.scratch,
-                        );
-                        host.add_socket(sock)
+                        let sock =
+                            TcpSocket::server_on_syn(seg.flow, config, now, seg, &mut self.scratch);
+                        Some(host.add_socket(sock))
                     }
-                    None => return None, // stray segment for an unknown flow
+                    None => None, // stray segment for an unknown flow
                 };
+                // TCP input is done with the segment on every path.
+                self.net.segments.release(handle);
+                let sock_id = sock_id?;
                 apply_actions(
                     host,
-                    &mut self.topology,
-                    &self.routes,
+                    &mut self.net,
                     queue,
                     &mut self.rngs[h.index()],
-                    &mut self.faults,
                     sock_id,
                     &mut self.scratch,
                     Charge::Softirq,
@@ -805,12 +918,8 @@ impl SimCore {
                 host: h,
                 sock,
                 kind,
-                gen,
             } => {
                 let host = &mut self.hosts[h.index()];
-                if host.timer_gen(sock, kind) != gen {
-                    return None; // cancelled or superseded
-                }
                 let env = TxEnv {
                     nic_in_flight: host.nic_in_flight(),
                 };
@@ -823,11 +932,9 @@ impl SimCore {
                 }
                 apply_actions(
                     host,
-                    &mut self.topology,
-                    &self.routes,
+                    &mut self.net,
                     queue,
                     &mut self.rngs[h.index()],
-                    &mut self.faults,
                     sock,
                     &mut self.scratch,
                     Charge::Softirq,
@@ -835,6 +942,7 @@ impl SimCore {
             }
             Event::NicComplete { host: h, packets } => {
                 let host = &mut self.hosts[h.index()];
+                let rng = &mut self.rngs[h.index()];
                 host.nic_complete(packets);
                 let env = TxEnv {
                     nic_in_flight: host.nic_in_flight(),
@@ -851,20 +959,16 @@ impl SimCore {
                 // uncorked sockets it would have skipped anyway.
                 waiters.sort_unstable();
                 waiters.dedup();
-                for i in 0..waiters.len() {
-                    let id = waiters[i];
-                    let host = &mut self.hosts[h.index()];
+                for &id in &waiters {
                     if !host.socket(id).is_corked() {
                         continue;
                     }
                     host.socket_mut(id).on_nic_drained(now, env, &mut self.scratch);
                     apply_actions(
                         host,
-                        &mut self.topology,
-                        &self.routes,
+                        &mut self.net,
                         queue,
-                        &mut self.rngs[h.index()],
-                        &mut self.faults,
+                        rng,
                         id,
                         &mut self.scratch,
                         Charge::Softirq,
@@ -878,9 +982,7 @@ impl SimCore {
                 self.cork_scratch = waiters;
             }
             Event::Restart => {
-                let Some(plan) = self.faults.as_mut() else {
-                    return None;
-                };
+                let plan = self.net.faults.as_mut()?;
                 let target = plan.pick_restart_target(self.restart_pool);
                 if let Some(rs) = plan.config().restart {
                     if !rs.period.is_zero() {
@@ -888,43 +990,19 @@ impl SimCore {
                     }
                 }
                 // The crash: every live socket on the target host loses
-                // its state. The flow mapping is dropped so in-flight and
-                // retransmitted segments for the old connection are
-                // discarded as strays (the softirq path ignores unknown
-                // flows that are not SYNs); pending timers are invalidated
-                // by bumping their generations. The application is woken
-                // with `Reset` to re-establish a fresh connection, whose
-                // new socket gets a new epoch.
+                // its state and the application re-establishes a fresh
+                // connection, whose new socket gets a new epoch.
                 let host = &mut self.hosts[target];
                 for i in 0..host.socket_count() {
                     let id = SocketId(i);
-                    let sock = host.socket_mut(id);
-                    if sock.state() == TcpState::Closed {
-                        continue;
+                    if host.socket(id).state() != TcpState::Closed {
+                        crash_socket(host, queue, id);
                     }
-                    let flow = sock.flow();
-                    sock.reset();
-                    host.remove_flow(flow);
-                    host.bump_timer(id, TimerKind::Rto);
-                    host.bump_timer(id, TimerKind::Delack);
-                    host.bump_timer(id, TimerKind::Cork);
-                    queue.schedule(
-                        Nanos::ZERO,
-                        Event::AppWake {
-                            host: HostId::from_index(target),
-                            sock: id,
-                            reason: WakeReason::Reset,
-                        },
-                    );
                 }
             }
             Event::ShardCrash => {
-                let Some((first, count)) = self.shard_tier else {
-                    return None;
-                };
-                let Some(plan) = self.faults.as_mut() else {
-                    return None;
-                };
+                let (first, count) = self.shard_tier?;
+                let plan = self.net.faults.as_mut()?;
                 let target = first + plan.pick_shard_crash_target(count);
                 if let Some(cs) = plan.config().shard.crash {
                     if !cs.period.is_zero() {
@@ -939,42 +1017,26 @@ impl SimCore {
                 // wake with `Reset`; in-flight segments for the dead flows
                 // are dropped as strays by the softirq path.
                 let mut ends: Vec<(usize, SocketId)> = Vec::new();
-                {
-                    let host = &self.hosts[target];
-                    for i in 0..host.socket_count() {
-                        let id = SocketId(i);
-                        if host.socket(id).state() != TcpState::Closed {
-                            ends.push((target, id));
-                        }
+                let host = &self.hosts[target];
+                for i in 0..host.socket_count() {
+                    let id = SocketId(i);
+                    if host.socket(id).state() != TcpState::Closed {
+                        ends.push((target, id));
                     }
                 }
                 let far: Vec<(usize, SocketId)> = ends
                     .iter()
                     .filter_map(|&(_, id)| {
-                        let flow = self.hosts[target].socket(id).flow();
-                        let route = self.routes.get(flow)?;
-                        let other = route.other(HostId::from_index(target));
-                        let peer = self.hosts[other.index()].socket_for_flow(flow)?;
+                        let flow = host.socket(id).flow();
+                        let route = self.net.routes.get(flow)?;
+                        let other = route.other(host.id);
+                        let peer = self.hosts.get(other.index())?.socket_for_flow(flow)?;
                         Some((other.index(), peer))
                     })
                     .collect();
                 ends.extend(far);
                 for (h, id) in ends {
-                    let host = &mut self.hosts[h];
-                    let flow = host.socket(id).flow();
-                    host.socket_mut(id).reset();
-                    host.remove_flow(flow);
-                    host.bump_timer(id, TimerKind::Rto);
-                    host.bump_timer(id, TimerKind::Delack);
-                    host.bump_timer(id, TimerKind::Cork);
-                    queue.schedule(
-                        Nanos::ZERO,
-                        Event::AppWake {
-                            host: HostId::from_index(h),
-                            sock: id,
-                            reason: WakeReason::Reset,
-                        },
-                    );
+                    crash_socket(&mut self.hosts[h], queue, id);
                 }
             }
             Event::AppWake {
@@ -1125,22 +1187,27 @@ impl<C: App, S: App> NetSim<C, S> {
 
     /// The link serving client 0 (the two-host pair's only link).
     pub fn link(&self) -> &DuplexLink {
-        self.core.topology.link(LinkId::from_index(0))
+        self.core.net.topology.link(LinkId::from_index(0))
     }
 
     /// The link serving client `i`.
     pub fn link_for(&self, client: usize) -> &DuplexLink {
-        self.core.topology.link(LinkId::from_index(client))
+        self.core.net.topology.link(LinkId::from_index(client))
     }
 
     /// The topology (for inspection).
     pub fn topology(&self) -> &Topology {
-        &self.core.topology
+        &self.core.net.topology
     }
 
     /// The fault plan, if fault injection is active (for audit counters).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.core.faults.as_ref()
+        self.core.net.faults.as_ref()
+    }
+
+    /// Occupancy of the in-flight segment slab.
+    pub fn segment_slab(&self) -> SlabUsage {
+        self.core.net.segments.usage()
     }
 }
 
@@ -1170,5 +1237,242 @@ impl<C: App, S: App> World for NetSim<C, S> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The timer contract: a socket timer has at most one event in the
+    //! queue, and removing the superseded ones moves no live event.
+
+    use super::*;
+    use crate::config::CostConfig;
+    use simnet::{CpuContext, RestartSchedule, ShardFaultPlan};
+
+    const KINDS: [TimerKind; 3] = [TimerKind::Rto, TimerKind::Delack, TimerKind::Cork];
+
+    fn host(i: usize) -> Host {
+        Host::new(
+            HostId::from_index(i),
+            CpuContext::new("app"),
+            CpuContext::new("softirq"),
+            CostConfig::default(),
+            TcpConfig::default(),
+        )
+    }
+
+    /// A core over `topology` whose host `on` holds one open socket for
+    /// flow 1 (the socket's own opening actions are discarded).
+    fn core_with_socket(topology: Topology, on: usize) -> (SimCore, SocketId) {
+        let n = topology.num_hosts();
+        let hosts = (0..n).map(host).collect();
+        let mut core = SimCore::new(hosts, topology, vec![HostId::from_index(0); n], 1, 7);
+        let sock = TcpSocket::client(
+            FlowId(1),
+            TcpConfig::default(),
+            Nanos::ZERO,
+            &mut core.scratch,
+        );
+        core.scratch.clear();
+        let id = core.hosts[on].add_socket(sock);
+        (core, id)
+    }
+
+    fn act(
+        core: &mut SimCore,
+        queue: &mut EventQueue<Event>,
+        on: usize,
+        sock: SocketId,
+        action: Action,
+    ) {
+        core.scratch.push(action);
+        apply_actions(
+            &mut core.hosts[on],
+            &mut core.net,
+            queue,
+            &mut core.rngs[on],
+            sock,
+            &mut core.scratch,
+            Charge::Softirq,
+        );
+    }
+
+    fn arm_all(core: &mut SimCore, queue: &mut EventQueue<Event>, on: usize, sock: SocketId) {
+        for kind in KINDS {
+            act(
+                core,
+                queue,
+                on,
+                sock,
+                Action::ArmTimer(kind, Nanos::from_micros(50)),
+            );
+        }
+    }
+
+    /// Drains the queue, returning what fired: `(time, Some(kind))` for
+    /// timers, `(time, None)` for anything else.
+    fn drain(queue: &mut EventQueue<Event>) -> Vec<(Nanos, Option<TimerKind>)> {
+        std::iter::from_fn(|| queue.pop())
+            .map(|(at, ev)| match ev {
+                Event::Timer { kind, .. } => (at, Some(kind)),
+                _ => (at, None),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rearming_leaves_one_live_entry_per_timer() {
+        let (mut core, sock) = core_with_socket(Topology::star(1, LinkConfig::default()), 0);
+        let mut queue = EventQueue::new();
+        for (armed, kind) in KINDS.into_iter().enumerate() {
+            for k in 1..=5 {
+                act(
+                    &mut core,
+                    &mut queue,
+                    0,
+                    sock,
+                    Action::ArmTimer(kind, Nanos::from_micros(k)),
+                );
+                assert_eq!(queue.len(), armed + 1, "{kind:?} re-armed {k} times");
+            }
+        }
+        // Each timer fires once, at its last arming's deadline.
+        let fired = drain(&mut queue);
+        let last = Nanos::from_micros(5);
+        assert_eq!(fired, KINDS.map(|k| (last, Some(k))).to_vec());
+    }
+
+    #[test]
+    fn cancel_leaves_no_entry() {
+        let (mut core, sock) = core_with_socket(Topology::star(1, LinkConfig::default()), 0);
+        let mut queue = EventQueue::new();
+        arm_all(&mut core, &mut queue, 0, sock);
+        for kind in KINDS {
+            act(&mut core, &mut queue, 0, sock, Action::CancelTimer(kind));
+        }
+        assert!(queue.is_empty());
+        // Cancelling a timer that is no longer pending is a no-op.
+        act(
+            &mut core,
+            &mut queue,
+            0,
+            sock,
+            Action::CancelTimer(TimerKind::Rto),
+        );
+        assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn endpoint_restart_leaves_no_timer() {
+        let (mut core, sock) = core_with_socket(Topology::star(1, LinkConfig::default()), 0);
+        let once = RestartSchedule {
+            first_at: Nanos::ZERO,
+            period: Nanos::ZERO,
+        };
+        let faults = FaultConfig {
+            restart: Some(once),
+            ..FaultConfig::default()
+        };
+        core.install_faults(faults, 7, HostId::from_index(1));
+        let mut queue = EventQueue::new();
+        arm_all(&mut core, &mut queue, 0, sock);
+        assert_eq!(queue.len(), 3);
+        assert!(core.handle_infra(&mut queue, Event::Restart).is_none());
+        // Only the application's `Reset` wake is left.
+        assert_eq!(drain(&mut queue), vec![(Nanos::ZERO, None)]);
+    }
+
+    #[test]
+    fn shard_crash_leaves_no_timer_on_either_end() {
+        // Client 0, proxy 1, shard 2; the flow runs proxy → shard.
+        let topology = Topology::two_tier(1, 1, LinkConfig::default(), LinkConfig::default());
+        let (mut core, shard_sock) = core_with_socket(topology, 2);
+        let proxy_sock = core.hosts[1].add_socket(TcpSocket::client(
+            FlowId(1),
+            TcpConfig::default(),
+            Nanos::ZERO,
+            &mut core.scratch,
+        ));
+        core.scratch.clear();
+        core.net.routes.set(
+            FlowId(1),
+            FlowRoute {
+                initiator: HostId::from_index(1),
+                acceptor: HostId::from_index(2),
+            },
+        );
+        core.shard_tier = Some((2, 1));
+        let faults = FaultConfig {
+            shard: ShardFaultPlan {
+                crash: Some(RestartSchedule {
+                    first_at: Nanos::ZERO,
+                    period: Nanos::ZERO,
+                }),
+                ..ShardFaultPlan::default()
+            },
+            ..FaultConfig::default()
+        };
+        core.install_faults(faults, 7, HostId::from_index(1));
+        let mut queue = EventQueue::new();
+        arm_all(&mut core, &mut queue, 2, shard_sock);
+        arm_all(&mut core, &mut queue, 1, proxy_sock);
+        assert_eq!(queue.len(), 6);
+        assert!(core.handle_infra(&mut queue, Event::ShardCrash).is_none());
+        // Only the two `Reset` wakes are left.
+        assert_eq!(drain(&mut queue), vec![(Nanos::ZERO, None); 2]);
+    }
+
+    #[test]
+    fn live_timer_keeps_its_time_and_fifo_position() {
+        let (mut core, sock) = core_with_socket(Topology::star(1, LinkConfig::default()), 0);
+        let mut queue = EventQueue::new();
+        let t = Nanos::from_micros(10);
+        let call = |token| Event::AppCall {
+            host: HostId::from_index(0),
+            token,
+        };
+        act(
+            &mut core,
+            &mut queue,
+            0,
+            sock,
+            Action::ArmTimer(TimerKind::Delack, t),
+        );
+        queue.schedule_at(t, call(1));
+        // An RTO armed earlier, then re-armed to the shared instant: the
+        // superseded event vanishes and the re-armed one queues behind
+        // everything already scheduled for `t`.
+        act(
+            &mut core,
+            &mut queue,
+            0,
+            sock,
+            Action::ArmTimer(TimerKind::Rto, Nanos::from_micros(5)),
+        );
+        act(
+            &mut core,
+            &mut queue,
+            0,
+            sock,
+            Action::ArmTimer(TimerKind::Rto, t),
+        );
+        queue.schedule_at(t, call(2));
+        let fired: Vec<(Nanos, Option<TimerKind>, Option<u64>)> =
+            std::iter::from_fn(|| queue.pop())
+                .map(|(at, ev)| match ev {
+                    Event::Timer { kind, .. } => (at, Some(kind), None),
+                    Event::AppCall { token, .. } => (at, None, Some(token)),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+        assert_eq!(
+            fired,
+            vec![
+                (t, Some(TimerKind::Delack), None),
+                (t, None, Some(1)),
+                (t, Some(TimerKind::Rto), None),
+                (t, None, Some(2)),
+            ]
+        );
     }
 }

@@ -25,7 +25,7 @@
 use simnet::{DuplexLink, EventQueue, FaultConfig, FaultPlan, HostId, LinkConfig, LinkId, Topology, World};
 
 use crate::host::Host;
-use crate::sim::{App, AppEvent, Event, SimCore};
+use crate::sim::{App, AppEvent, Event, SimCore, SlabUsage};
 
 /// A complete two-tier simulation: N clients, one proxy, K shards.
 pub struct TierSim<C: App, P: App, S: App> {
@@ -192,25 +192,31 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
     /// The spoke link serving client `i`.
     pub fn client_link(&self, client: usize) -> &DuplexLink {
         assert!(client < self.clients.len(), "no client {client}");
-        self.core.topology.link(LinkId::from_index(client))
+        self.core.net.topology.link(LinkId::from_index(client))
     }
 
     /// The upstream link serving shard `j`.
     pub fn shard_link(&self, shard: usize) -> &DuplexLink {
         assert!(shard < self.shards.len(), "no shard {shard}");
         self.core
+            .net
             .topology
             .link(LinkId::from_index(self.clients.len() + shard))
     }
 
     /// The topology (for inspection).
     pub fn topology(&self) -> &Topology {
-        &self.core.topology
+        &self.core.net.topology
     }
 
     /// The fault plan, if fault injection is active (for audit counters).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.core.faults.as_ref()
+        self.core.net.faults.as_ref()
+    }
+
+    /// Occupancy of the in-flight segment slab.
+    pub fn segment_slab(&self) -> SlabUsage {
+        self.core.net.segments.usage()
     }
 }
 
