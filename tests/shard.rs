@@ -8,10 +8,13 @@
 //! every client-facing *and* upstream socket on the proxy booked real
 //! traffic in both directions.
 
+#[allow(dead_code)] // this binary digests shard results, not `PointResult`s
+mod common;
+
 use e2e_batching::batchpolicy::{Objective, RetryConfig};
 use e2e_batching::e2e_apps::{
-    run_shard_point, CostProfile, LancetClient, ProxyApp, RedisServer, Resilience, ShardRouter,
-    ShardRunConfig, ShardSetting, WorkloadSpec,
+    run_shard_point, CostProfile, LancetClient, ProxyApp, RedisServer, Resilience, ShardPointResult,
+    ShardRouter, ShardRunConfig, ShardSetting, WorkloadSpec,
 };
 use e2e_batching::littles::Nanos;
 use e2e_batching::simnet::{
@@ -19,6 +22,8 @@ use e2e_batching::simnet::{
     ShardFaultPlan, WindowSchedule,
 };
 use e2e_batching::tcpsim::{Host, HostId, TcpConfig, TierSim};
+
+use common::{check_or_bless, fmt_f64, fmt_ns};
 
 fn k4_cfg(setting: ShardSetting) -> ShardRunConfig {
     ShardRunConfig {
@@ -59,6 +64,61 @@ fn k4_skewed_grid_replays_bit_identically() {
             assert_eq!(fa.to_bits(), fb.to_bits());
         }
     }
+}
+
+fn fmt_opt_f64(v: Option<f64>) -> String {
+    v.map_or_else(|| "-".to_string(), fmt_f64)
+}
+
+/// Two lines per run with every field of the result, floats by bit
+/// pattern; the hot-shard ranking gets its own line.
+fn digest_shard(label: &str, r: &ShardPointResult) -> String {
+    let list = |v: Vec<String>| v.join(",");
+    format!(
+        "{label} events={} samples={} offered={} achieved={} mean={} p50={} p99={} hot={} \
+         per_shard={:?} est={} rtt_p99={} on={} arms={} pcpu={}/{}\n{label} hot_rank={}\n",
+        r.events,
+        r.samples,
+        fmt_f64(r.offered_rps),
+        fmt_f64(r.achieved_rps),
+        fmt_ns(r.measured_mean),
+        fmt_ns(r.measured_p50),
+        fmt_ns(r.measured_p99),
+        r.hot_shard,
+        r.per_shard_requests,
+        list(r.shard_estimates.iter().map(|&e| fmt_ns(e)).collect()),
+        list(r.shard_rtt_p99.iter().map(|&e| fmt_ns(e)).collect()),
+        list(r.shard_on_fraction.iter().map(|&f| fmt_f64(f)).collect()),
+        list(
+            r.shard_arm_scores
+                .iter()
+                .map(|&(off, on)| format!("{}/{}", fmt_opt_f64(off), fmt_opt_f64(on)))
+                .collect()
+        ),
+        fmt_f64(r.proxy_cpu.app),
+        fmt_f64(r.proxy_cpu.softirq),
+        fmt_opt_f64(r.hot_rank_fraction),
+    )
+}
+
+/// Every field of the K = 4 runs under both static corners and the
+/// per-shard planes, pinned bit for bit against a golden file.
+#[test]
+fn k4_runs_match_golden() {
+    let mut digest = String::new();
+    for (label, setting) in [
+        ("corner-off", ShardSetting::Corner { nagle: false }),
+        ("corner-on", ShardSetting::Corner { nagle: true }),
+        (
+            "adaptive",
+            ShardSetting::Adaptive {
+                objective: Objective::MinLatency,
+            },
+        ),
+    ] {
+        digest += &digest_shard(label, &run_shard_point(&k4_cfg(setting)));
+    }
+    check_or_bless(&digest, "tests/golden/shard_runner_digest.txt", "K = 4 shard runs");
 }
 
 /// The skew is deterministic in the seed and independent of the upstream
