@@ -22,9 +22,9 @@ use simnet::{
 
 use crate::failover::{
     run_failover_point, FailoverArm, FailoverPointResult, FailoverRunConfig, FailoverScenario,
+    ShardSetting,
 };
 use crate::runner::{run_point, NagleSetting, Overrides, PointResult, RunConfig};
-use crate::shard::{run_shard_point, ShardPointResult, ShardRunConfig, ShardSetting};
 use crate::grid::{default_threads, run_grid};
 use crate::sweep::{run_sweep, SweepResult};
 use crate::workload::WorkloadSpec;
@@ -1639,11 +1639,11 @@ pub struct ShardCell {
     /// Aggregate offered load (requests/second).
     pub rate_rps: f64,
     /// Upstreams pinned `TCP_NODELAY`.
-    pub off: ShardPointResult,
+    pub off: FailoverPointResult,
     /// Upstreams pinned Nagle-on.
-    pub on: ShardPointResult,
+    pub on: FailoverPointResult,
     /// Per-shard adaptive planes at the proxy.
-    pub adaptive: ShardPointResult,
+    pub adaptive: FailoverPointResult,
 }
 
 impl ShardCell {
@@ -1874,28 +1874,25 @@ impl ShardGrid {
     pub fn sweep(&self) -> ShardData {
         let cells = run_grid(self.rates.len(), default_threads(), |i| {
             let rate = self.rates[i];
-            let base = ShardRunConfig {
+            let base = FailoverRunConfig {
                 num_clients: self.num_clients,
                 num_shards: self.num_shards,
                 hot_fraction: self.hot_fraction,
                 warmup: self.warmup,
                 measure: self.measure,
                 seed: self.seed,
-                ..ShardRunConfig::new(
-                    WorkloadSpec::shard(rate),
-                    ShardSetting::Corner { nagle: false },
-                )
+                ..FailoverRunConfig::new(WorkloadSpec::shard(rate), FailoverArm::NoDefense, None)
             };
-            let off = run_shard_point(&base);
-            let on = run_shard_point(&ShardRunConfig {
-                setting: ShardSetting::Corner { nagle: true },
-                ..base
-            });
-            let adaptive = run_shard_point(&ShardRunConfig {
-                setting: ShardSetting::Adaptive {
-                    objective: Objective::MinLatency,
-                },
-                ..base
+            let with = |setting| {
+                run_failover_point(&FailoverRunConfig {
+                    upstream: Some(setting),
+                    ..base
+                })
+            };
+            let off = with(ShardSetting::Corner { nagle: false });
+            let on = with(ShardSetting::Corner { nagle: true });
+            let adaptive = with(ShardSetting::Adaptive {
+                objective: Objective::MinLatency,
             });
             ShardCell {
                 rate_rps: rate,

@@ -1,20 +1,34 @@
-//! Running one shard-failure experiment point.
+//! Running one two-tier (sharded proxy) experiment point.
 //!
-//! The two-tier harness ([`crate::shard`]) measures batching under a
-//! healthy shard tier; this one measures *survival*: the same skewed
-//! N-client → proxy → K-shard topology with a tier-aware
-//! [`ShardFaultPlan`](simnet::ShardFaultPlan) killing or browning out
-//! shards mid-run, against a ladder of proxy defense arms
-//! ([`FailoverArm`]): the naive no-defense proxy, deadlines only,
-//! budgeted retries, and the full retry + hedge + breaker stack with
-//! ring-successor failover routing.
+//! The star harness ([`crate::runner`]) measures one leg; this one
+//! measures the composed path of the datacenter topology: N load
+//! generators fan into a [`ProxyApp`](crate::proxy::ProxyApp) which
+//! routes by key over K [`RedisServer`] shards. The proxy runs the
+//! estimation machinery on *both* legs and composes them per shard
+//! (client→proxy + proxy→shard, Figure 3 terms summed), so the run
+//! reports a per-shard service-level estimate. The workload is skewed: a
+//! configurable fraction of requests draw keys owned by one *hot* shard
+//! (the shard owning the largest slice of the key space), the rest
+//! spread over the cold shards.
 //!
-//! The interesting comparison per cell is each arm against the
-//! *never-failed oracle* — the identical configuration with the fault
-//! plan disabled. A defense stack earns its keep when its P99 and
-//! goodput stay within a small factor of the oracle while the naive
-//! proxy collapses (a dead hot shard head-of-line-blocks every client's
-//! pipelined connection).
+//! One runner serves two studies:
+//!
+//! * **Batching** ([`FailoverRunConfig::upstream`] set): a healthy tier,
+//!   comparing [`ShardSetting::Corner`] (one global static batching
+//!   choice for every upstream) against [`ShardSetting::Adaptive`]
+//!   (per-shard planes free to batch the hot upstream while leaving cold
+//!   ones latency-optimal).
+//! * **Survival** (`upstream: None`, every leg `TCP_NODELAY`): a
+//!   tier-aware [`ShardFaultPlan`](simnet::ShardFaultPlan) kills or
+//!   browns out shards mid-run, against a ladder of proxy defense arms
+//!   ([`FailoverArm`]): the naive no-defense proxy, deadlines only,
+//!   budgeted retries, and the full retry + hedge + breaker stack with
+//!   ring-successor failover routing. Each arm is compared against the
+//!   *never-failed oracle* — the identical configuration with the fault
+//!   plan disabled. A defense stack earns its keep when its P99 and
+//!   goodput stay within a small factor of the oracle while the naive
+//!   proxy collapses (a dead hot shard head-of-line-blocks every
+//!   client's pipelined connection).
 
 use batchpolicy::{BreakerConfig, ControlPlane, EpsilonGreedy, Objective, RetryConfig, TickController};
 use e2e_core::ValidateConfig;
@@ -29,9 +43,28 @@ use crate::cost::CostProfile;
 use crate::driver::ProxyDriver;
 use crate::loadgen::{KeyPool, LancetClient};
 use crate::proxy::{ProxyApp, Resilience, ShardRouter};
-use crate::runner::{shield, tcp_config, Overrides};
+use crate::runner::{shield, tcp_config, CpuUtil, Overrides};
 use crate::server::RedisServer;
 use crate::workload::WorkloadSpec;
+
+/// How the proxy's upstream (proxy → shard) batching is controlled in the
+/// batching study. The client → proxy leg stays `TCP_NODELAY` in every
+/// arm so the comparison isolates the knob under study.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ShardSetting {
+    /// One static choice applied to every upstream connection.
+    Corner {
+        /// Nagle enabled on every upstream.
+        nagle: bool,
+    },
+    /// Per-shard control planes at the proxy, each deciding on its
+    /// shard's back-leg estimate (the leg the knob controls) while the
+    /// composed two-leg estimate provides the service-level ranking.
+    Adaptive {
+        /// The optimization objective.
+        objective: Objective,
+    },
+}
 
 /// The proxy's defense ladder, weakest to strongest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,12 +133,14 @@ impl FailoverScenario {
     }
 }
 
-/// Everything that defines one failover experiment point.
+/// Everything that defines one two-tier experiment point.
 #[derive(Debug, Clone, Copy)]
 pub struct FailoverRunConfig {
-    /// The aggregate workload (rate split evenly across clients).
+    /// The aggregate workload (rate split evenly across clients; keys
+    /// drawn from the skewed pool, not the round-robin walk).
     pub workload: WorkloadSpec,
-    /// CPU cost profile.
+    /// CPU cost profile (clients and the proxy use the client stack —
+    /// the proxy is a lean router — shards the server stack).
     pub profile: CostProfile,
     /// The proxy's defense arm.
     pub arm: FailoverArm,
@@ -128,11 +163,17 @@ pub struct FailoverRunConfig {
     /// draw from `fault.restart`, shard-crash victims from
     /// `fault.shard_crash` — composing the two shifts neither stream.
     pub client_restart: Option<RestartSchedule>,
+    /// Upstream batching under study. `None` pins every upstream
+    /// `TCP_NODELAY` with the planes scoring `MinLatency` (inert on the
+    /// pinned sockets), so defense arms compare on identical transport
+    /// behaviour.
+    pub upstream: Option<ShardSetting>,
 }
 
 impl FailoverRunConfig {
-    /// A standard failover run: 4 clients, 4 shards, 70% hot traffic,
-    /// 200 ms warmup, 800 ms measurement.
+    /// A standard two-tier run: 4 clients, 4 shards, 70% hot traffic,
+    /// 200 ms warmup, 800 ms measurement, no upstream batching under
+    /// study.
     pub fn new(workload: WorkloadSpec, arm: FailoverArm, scenario: Option<FailoverScenario>) -> Self {
         FailoverRunConfig {
             workload,
@@ -146,6 +187,7 @@ impl FailoverRunConfig {
             num_shards: 4,
             hot_fraction: 0.7,
             client_restart: None,
+            upstream: None,
         }
     }
 
@@ -167,14 +209,15 @@ impl FailoverRunConfig {
     }
 }
 
-/// The result of one failover run.
+/// The result of one two-tier run.
 #[derive(Debug, Clone)]
 pub struct FailoverPointResult {
     /// Offered aggregate load (requests/second).
     pub offered_rps: f64,
     /// Achieved goodput across every client.
     pub achieved_rps: f64,
-    /// Measured mean end-to-end latency.
+    /// Measured mean end-to-end latency (client arrival → response
+    /// processed, both legs included).
     pub measured_mean: Option<Nanos>,
     /// Measured median latency.
     pub measured_p50: Option<Nanos>,
@@ -218,6 +261,26 @@ pub struct FailoverPointResult {
     /// Duplicate tagged SETs suppressed by the shards' idempotency
     /// windows (summed across shards).
     pub dedup_hits: u64,
+    /// Mean composed (two-leg) estimated latency per shard over the
+    /// measurement window.
+    pub shard_estimates: Vec<Option<Nanos>>,
+    /// Measured back-leg (proxy → shard) round-trip p99 per shard, over
+    /// the whole run including warmup — the ground truth behind the
+    /// back-leg estimates.
+    pub shard_rtt_p99: Vec<Option<Nanos>>,
+    /// Fraction of estimation windows in which the hot shard's composed
+    /// estimate ranked highest across shards — the "can the estimate
+    /// find the hot shard" acceptance metric.
+    pub hot_rank_fraction: Option<f64>,
+    /// Fraction of plane decisions with batching on, per shard
+    /// (meaningful for [`ShardSetting::Adaptive`]; the planes still run,
+    /// inert, on statically pinned upstreams).
+    pub shard_on_fraction: Vec<f64>,
+    /// Each shard plane's learned (off, on) arm scores at the end of the
+    /// run (negated µs under `MinLatency`; `None` = arm never scored).
+    pub shard_arm_scores: Vec<(Option<f64>, Option<f64>)>,
+    /// Proxy-host CPU utilization over the window.
+    pub proxy_cpu: CpuUtil,
     /// Simulator events processed.
     pub events: u64,
 }
@@ -266,20 +329,31 @@ fn fault_config(cfg: &FailoverRunConfig, hot_shard: usize, cold_shard: usize) ->
     }
 }
 
-/// Executes one failover experiment point.
+/// Executes one two-tier experiment point.
 pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
     let n = cfg.num_clients;
     let k = cfg.num_shards;
     assert!(n > 0, "a run needs at least one client");
-    assert!(k > 1, "failover needs at least two shards");
+    assert!(k > 1, "a two-tier run needs at least two shards");
 
     let ov = Overrides::default();
-    // Batching is not under study here: every leg runs `TCP_NODELAY`
-    // so the defense arms are compared on identical transport behavior.
+    // Front leg pinned NODELAY in every run; only the upstream mode
+    // varies (Dynamic so per-shard planes can actuate, or a static pin).
     let front_tcp = tcp_config(NagleMode::Off, &ov);
-    let upstream_tcp = tcp_config(NagleMode::Off, &ov);
+    let (upstream_mode, objective) = match cfg.upstream {
+        None | Some(ShardSetting::Corner { nagle: false }) => {
+            (NagleMode::Off, Objective::MinLatency)
+        }
+        Some(ShardSetting::Corner { nagle: true }) => (NagleMode::On, Objective::MinLatency),
+        Some(ShardSetting::Adaptive { objective }) => (NagleMode::Dynamic, objective),
+    };
+    let upstream_tcp = tcp_config(upstream_mode, &ov);
+    // Shards answer with NODELAY in every run: the knob under study is
+    // the proxy's request batching, not the shard's response batching.
     let shard_tcp = tcp_config(NagleMode::Off, &ov);
 
+    // Key → shard ownership and the hot/cold split. The hot shard is the
+    // one owning the largest slice (deterministic in the seed).
     let router = ShardRouter::new(k, cfg.seed);
     let mut owned: Vec<Vec<u64>> = vec![Vec::new(); k];
     for idx in 0..cfg.workload.key_space as u64 {
@@ -309,9 +383,14 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
         .flat_map(|(_, keys)| keys.iter().copied())
         .collect();
 
-    // Same fork-per-client discipline as the shard harness, but on its
-    // own declared stream so the two grids never correlate draws.
-    let mut skew_rng = Pcg32::named(cfg.seed, "failover.skew");
+    // The skew stream: forked per client so the draws never perturb
+    // arrival/value RNG sequences. The batching and failover studies
+    // each draw from their own declared stream so their published grids
+    // never correlate draws.
+    let mut skew_rng = match cfg.upstream {
+        Some(_) => Pcg32::named(cfg.seed, "shard.skew"),
+        None => Pcg32::named(cfg.seed, "failover.skew"),
+    };
     let mut spec = cfg.workload;
     spec.rate_rps = cfg.workload.rate_rps / n as f64;
     let end = cfg.warmup + cfg.measure;
@@ -324,16 +403,26 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
         })
         .collect();
 
-    // Estimation planes run in every arm (the full arm's hedge timing
-    // and breaker confidence feed read them; the other arms pay the same
-    // overhead so the comparison isolates the defense, not the
-    // estimator). Nagle actuation is inert on the statically pinned
-    // upstreams.
+    // Per-shard estimation planes run in every run: Nagle bandits seeded
+    // independently per shard (0xD keeps the streams disjoint from the
+    // star harness's client policies at 0xC and listener at 0x5). The
+    // full arm's hedge timing and breaker confidence feed read them; on
+    // statically pinned upstreams their Nagle actuation is inert, so
+    // every arm pays the same estimation overhead and the comparison
+    // isolates the knob or the defense, not the estimator.
     let tick = Nanos::from_millis(1);
     let controllers = (0..k)
         .map(|j| {
             let seed = cfg.seed ^ 0xD ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let toggler = EpsilonGreedy::new(Objective::MinLatency, 0.01, 8, 0.5, seed).with_settle(3);
+            // Calmer than the star harness's client planes (ε .05, dwell
+            // 4, α .4): a wrong arm on a saturated shard is catastrophic,
+            // so the per-shard bandits explore rarely, dwell longer, and
+            // smooth harder — the per-window signal between arms is tens
+            // of µs against comparable sampling noise on a sparse
+            // upstream. The settle period keeps post-switch windows
+            // (still dominated by the previous arm's traffic) from being
+            // credited to the new arm.
+            let toggler = EpsilonGreedy::new(objective, 0.01, 8, 0.5, seed).with_settle(3);
             let plane = ControlPlane::new(toggler, 8);
             TickController::new(shield(plane, None), tick)
         })
@@ -372,12 +461,16 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
             )
         })
         .collect();
+    // The proxy runs the lean client stack: it is an L7 router, not a
+    // store — parse, hash, re-frame. Keeping it off the critical path
+    // lets the back-leg queueing (the hot *shard's* backlog) dominate
+    // each shard's composed estimate instead of shared proxy read delay.
     let proxy_host = Host::new(
         HostId::from_index(n),
         CpuContext::new("proxy-app"),
         CpuContext::new("proxy-softirq"),
         cfg.profile.client_stack,
-        front_tcp,
+        front_tcp, // accept config for client-facing connections
     );
     let shard_hosts: Vec<Host> = (0..k)
         .map(|j| {
@@ -386,11 +479,18 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
                 CpuContext::new("shard-app"),
                 CpuContext::new("shard-softirq"),
                 cfg.profile.server_stack,
-                shard_tcp,
+                shard_tcp, // accept config for the proxy's upstreams
             )
         })
         .collect();
 
+    // The back leg crosses the fabric (proxy and shards sit in different
+    // racks), so its propagation is real: a Nagle hold on an upstream
+    // waits a full ACK round trip. That is what makes the knob a genuine
+    // per-shard tradeoff — on a sparse cold upstream a held request eats
+    // the round trip for nothing, while on the hot upstream the same hold
+    // window coalesces several requests into one delivery and spares the
+    // shard's receive path.
     let back_link = LinkConfig {
         propagation: Nanos::from_micros(80),
         ..LinkConfig::default()
@@ -411,8 +511,21 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
     sim.start(&mut queue);
 
     let mut events = run(&mut sim, &mut queue, cfg.warmup);
+    let proxy_snap = (
+        sim.proxy_host().app_cpu.busy_snapshot(queue.now()),
+        sim.proxy_host().softirq_cpu.busy_snapshot(queue.now()),
+    );
     events += run(&mut sim, &mut queue, end);
     events += run(&mut sim, &mut queue, end + Nanos::from_millis(20));
+
+    let (from, to) = (cfg.warmup, end);
+    let proxy_cpu = CpuUtil {
+        app: sim.proxy_host().app_cpu.utilization_since(&proxy_snap.0, to),
+        softirq: sim
+            .proxy_host()
+            .softirq_cpu
+            .utilization_since(&proxy_snap.1, to),
+    };
 
     let mut hist = Histogram::new();
     for lg in &sim.clients {
@@ -422,16 +535,42 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
     let dedup_hits: u64 = (0..k).map(|j| sim.shards[j].kv().dedup_hits()).sum();
     let shard_crashes = sim.fault_plan().map(|p| p.shard_crashes()).unwrap_or(0);
     let endpoint_restarts = sim.fault_plan().map(|p| p.restarts()).unwrap_or(0);
-    let back_epoch_changes = sim
-        .proxy
-        .driver
-        .as_ref()
-        .map(|d| {
-            (0..k)
-                .map(|j| d.back_validation_stats(j).epoch_changes)
-                .sum()
+    let driver = sim.proxy.driver.as_ref().expect("driver attached above");
+    let back_epoch_changes = (0..k)
+        .map(|j| driver.back_validation_stats(j).epoch_changes)
+        .sum();
+    let shard_estimates: Vec<Option<Nanos>> = (0..k)
+        .map(|j| driver.shard_mean_latency_in(j, from, to))
+        .collect();
+    let shard_on_fraction: Vec<f64> = (0..k).map(|j| driver.on_fraction(j)).collect();
+    let shard_arm_scores: Vec<(Option<f64>, Option<f64>)> = (0..k)
+        .map(|j| {
+            let p = driver.plane(j);
+            (p.nagle_arm_score(false), p.nagle_arm_score(true))
         })
-        .unwrap_or(0);
+        .collect();
+
+    // Rank the hot shard per estimation window. The per-shard series are
+    // produced by the same proxy tick, so entries align by timestamp;
+    // walk windows where every shard reported inside [from, to).
+    let hot_rank_fraction = {
+        let series: Vec<_> = (0..k).map(|j| &driver.shard_series[j]).collect();
+        let windows = series.iter().map(|s| s.len()).min().unwrap_or(0);
+        let mut ranked = 0u64;
+        let mut total = 0u64;
+        for w in 0..windows {
+            let at = series[0][w].0;
+            if at < from || at >= to {
+                continue;
+            }
+            total += 1;
+            let hot_latency = series[hot_shard][w].1.smoothed_latency;
+            if (0..k).all(|j| j == hot_shard || series[j][w].1.smoothed_latency < hot_latency) {
+                ranked += 1;
+            }
+        }
+        (total > 0).then(|| ranked as f64 / total as f64)
+    };
 
     let stats = &sim.proxy.stats;
     let (retries, hedges, budget_denied) = sim
@@ -463,6 +602,12 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
         failovers: stats.failovers,
         orphan_responses: stats.orphan_responses,
         dedup_hits,
+        shard_estimates,
+        shard_rtt_p99: stats.back_rtt.iter().map(|h| h.p99()).collect(),
+        hot_rank_fraction,
+        shard_on_fraction,
+        shard_arm_scores,
+        proxy_cpu,
         events,
     }
 }
@@ -482,12 +627,33 @@ mod tests {
 
     #[test]
     fn oracle_run_is_healthy_and_quiet() {
-        let r = run_failover_point(&smoke_cfg(FailoverArm::Full, None));
-        assert!(r.samples > 500, "only {} samples", r.samples);
-        assert!(r.achieved_rps > 0.8 * r.offered_rps);
-        assert_eq!(r.shard_crashes, 0);
-        assert_eq!(r.upstream_resets, 0);
-        assert_eq!(r.failed, 0, "oracle must not fail requests");
+        for upstream in [
+            None,
+            Some(ShardSetting::Corner { nagle: false }),
+            Some(ShardSetting::Adaptive {
+                objective: Objective::MinLatency,
+            }),
+        ] {
+            let cfg = FailoverRunConfig {
+                upstream,
+                ..smoke_cfg(FailoverArm::Full, None)
+            };
+            let r = run_failover_point(&cfg);
+            assert!(r.samples > 500, "{upstream:?}: only {} samples", r.samples);
+            assert!(r.achieved_rps > 0.8 * r.offered_rps, "{upstream:?}");
+            assert_eq!(r.shard_crashes, 0);
+            assert_eq!(r.upstream_resets, 0);
+            assert_eq!(r.failed, 0, "oracle must not fail requests");
+            // Every shard saw traffic, and the hot one saw the most.
+            assert!(r.per_shard_requests.iter().all(|&c| c > 0), "{upstream:?}");
+            let busiest = (0..cfg.num_shards).max_by_key(|&s| r.per_shard_requests[s]);
+            assert_eq!(busiest, Some(r.hot_shard), "{upstream:?}");
+            // The per-shard planes ran and every shard has a composed
+            // estimate to rank.
+            assert_eq!(r.shard_on_fraction.len(), cfg.num_shards);
+            assert!(r.shard_estimates.iter().all(|e| e.is_some()), "{upstream:?}");
+            assert!(r.hot_rank_fraction.is_some(), "{upstream:?}");
+        }
     }
 
     #[test]

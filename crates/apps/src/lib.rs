@@ -9,8 +9,12 @@
 //!
 //! The entry points most users want:
 //!
-//! * [`runner::run_point`] — run one (workload, configuration) pair and
-//!   get measured + estimated performance.
+//! * [`runner::run_point`] — run one (workload, configuration) pair on
+//!   the N-client star and get measured + estimated performance.
+//! * [`failover::run_failover_point`] — the same for the two-tier
+//!   topology (N clients → proxy → K shards): the upstream batching
+//!   study when [`FailoverRunConfig::upstream`] is set, the shard-failure
+//!   study against the proxy's defense arms otherwise.
 //! * [`sweep::run_sweep`] — a load sweep across Nagle on/off/dynamic (the
 //!   Figure 4 harness).
 //! * [`experiments`] — `figure2()`, `figure4a()`, `figure4b()`,
@@ -31,7 +35,6 @@ pub mod proxy;
 pub mod resp;
 pub mod runner;
 pub mod server;
-pub mod shard;
 pub mod sweep;
 pub mod workload;
 
@@ -39,11 +42,11 @@ pub use cost::{AppCosts, CostProfile};
 pub use driver::{EstimateRecorder, HintRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver};
 pub use failover::{
     run_failover_point, FailoverArm, FailoverPointResult, FailoverRunConfig, FailoverScenario,
+    ShardSetting,
 };
 pub use loadgen::{KeyPool, LancetClient};
 pub use proxy::{ProxyApp, Resilience, ShardRouter};
 pub use runner::{run_point, ClientResult, NagleSetting, PointResult, RunConfig};
 pub use server::RedisServer;
-pub use shard::{run_shard_point, ShardPointResult, ShardRunConfig, ShardSetting};
 pub use sweep::{run_sweep, SweepResult};
 pub use workload::WorkloadSpec;

@@ -19,9 +19,9 @@ use bench::{json_f3, json_us, write_json};
 use e2e_apps::experiments::{
     assert_gates, ShardData, ShardGrid, SHARD_BOUND_FACTOR, SHARD_BOUND_SLACK, SHARD_HOT_RANK_MIN,
 };
-use e2e_apps::ShardPointResult;
+use e2e_apps::FailoverPointResult;
 
-fn point_json(r: &ShardPointResult) -> String {
+fn point_json(r: &FailoverPointResult) -> String {
     let est: Vec<String> = r.shard_estimates.iter().map(|e| json_us(*e)).collect();
     format!(
         concat!(

@@ -792,13 +792,16 @@ impl SimCore {
         if !config.is_enabled() {
             return;
         }
-        if let Some(stall) = config.server_stall {
-            self.hosts[stall_on.index()].app_cpu.set_stall_schedule(stall);
-        }
-        if let Some((first, count)) = self.shard_tier {
-            if let Some(b) = config.shard.brownout {
-                assert!(b.shard < count, "brownout shard {} of {count}", b.shard);
-                self.hosts[first + b.shard].app_cpu.set_stall_schedule(b.windows);
+        let brownout = self.shard_tier.zip(config.shard.brownout).map(|((first, count), b)| {
+            assert!(b.shard < count, "brownout shard {} of {count}", b.shard);
+            (first + b.shard, b.windows)
+        });
+        let stalls = config.server_stall.map(|s| (stall_on.index(), s));
+        // Every target exists: `stall_on` is the constructor's own server
+        // or proxy host, and the brownout shard was checked above.
+        for (h, schedule) in stalls.into_iter().chain(brownout) {
+            if let Some(host) = self.hosts.get_mut(h) {
+                host.app_cpu.set_stall_schedule(schedule);
             }
         }
         let links = self.net.topology.num_links();
@@ -1061,7 +1064,8 @@ pub struct NetSim<C: App, S: App> {
 }
 
 impl<C: App, S: App> NetSim<C, S> {
-    /// Assembles the classic two-host simulation (the N = 1 star).
+    /// Assembles the classic two-host simulation (the N = 1 star),
+    /// fault-free.
     pub fn new(
         client: C,
         server: S,
@@ -1070,23 +1074,35 @@ impl<C: App, S: App> NetSim<C, S> {
         link_config: LinkConfig,
         seed: u64,
     ) -> Self {
-        Self::star(vec![client], server, vec![client_host], server_host, link_config, seed)
+        Self::star_with_faults(
+            vec![client],
+            server,
+            vec![client_host],
+            server_host,
+            link_config,
+            seed,
+            FaultConfig::default(),
+        )
     }
 
-    /// Assembles an N-client star simulation. Client host `i` must carry
-    /// `HostId(i)`; the server host must carry `HostId(num_clients)`.
+    /// Assembles an N-client star simulation with a fault-injection plan
+    /// layered over the links (and, for stall schedules, over the
+    /// server's application thread). Client host `i` must carry
+    /// `HostId(i)`; the server host must carry `HostId(num_clients)`. A
+    /// fully disabled `FaultConfig` (the default) installs nothing.
     ///
     /// # Panics
     ///
     /// Panics when `clients` is empty, the lengths disagree, or a host id
     /// does not match its topology index.
-    pub fn star(
+    pub fn star_with_faults(
         clients: Vec<C>,
         server: S,
         client_hosts: Vec<Host>,
         server_host: Host,
         link_config: LinkConfig,
         seed: u64,
+        fault_config: FaultConfig,
     ) -> Self {
         assert!(!clients.is_empty(), "star simulation needs at least one client");
         assert_eq!(
@@ -1101,35 +1117,13 @@ impl<C: App, S: App> NetSim<C, S> {
         // Every host's plain connect() goes to the server (the server's
         // own self-entry is rejected by connect_to, as it should be).
         let default_peers = vec![server_id; n + 1];
-        let core = SimCore::new(hosts, Topology::star(n, link_config), default_peers, n, seed);
+        let mut core = SimCore::new(hosts, Topology::star(n, link_config), default_peers, n, seed);
+        core.install_faults(fault_config, seed, server_id);
         NetSim {
             clients,
             server,
             core,
         }
-    }
-
-    /// Like [`star`](Self::star), but with a fault-injection plan layered
-    /// over the links (and, for stall schedules, over the server's
-    /// application thread). A fully disabled `FaultConfig` (the default)
-    /// leaves the simulation bit-identical to [`star`](Self::star).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`star`](Self::star).
-    pub fn star_with_faults(
-        clients: Vec<C>,
-        server: S,
-        client_hosts: Vec<Host>,
-        server_host: Host,
-        link_config: LinkConfig,
-        seed: u64,
-        fault_config: FaultConfig,
-    ) -> Self {
-        let mut sim = Self::star(clients, server, client_hosts, server_host, link_config, seed);
-        let server_id = sim.server_id();
-        sim.core.install_faults(fault_config, seed, server_id);
-        sim
     }
 
     /// Invokes every application's `on_start` — the server first (so it is

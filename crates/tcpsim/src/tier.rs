@@ -39,17 +39,19 @@ pub struct TierSim<C: App, P: App, S: App> {
 }
 
 impl<C: App, P: App, S: App> TierSim<C, P, S> {
-    /// Assembles a two-tier simulation. Client host `i` must carry
-    /// `HostId(i)`, the proxy host `HostId(n)`, and shard host `j`
-    /// `HostId(n+1+j)`. Every client spoke uses `client_link`, every
-    /// proxy→shard link `shard_link`.
+    /// Assembles a two-tier simulation with a fault plan layered over
+    /// every link; stall schedules target the proxy's application thread.
+    /// Client host `i` must carry `HostId(i)`, the proxy host `HostId(n)`,
+    /// and shard host `j` `HostId(n+1+j)`. Every client spoke uses
+    /// `client_link`, every proxy→shard link `shard_link`. A fully
+    /// disabled `FaultConfig` (the default) installs nothing.
     ///
     /// # Panics
     ///
     /// Panics when `clients` or `shards` is empty, the app and host lists
     /// disagree in length, or a host id does not match its topology index.
     #[allow(clippy::too_many_arguments)]
-    pub fn two_tier(
+    pub fn two_tier_with_faults(
         clients: Vec<C>,
         proxy: P,
         shards: Vec<S>,
@@ -59,6 +61,7 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
         client_link: LinkConfig,
         shard_link: LinkConfig,
         seed: u64,
+        fault_config: FaultConfig,
     ) -> Self {
         assert!(!clients.is_empty(), "two-tier simulation needs at least one client");
         assert!(!shards.is_empty(), "two-tier simulation needs at least one shard");
@@ -82,45 +85,13 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
         // the core makes the tier-aware shard faults (crash, brownout,
         // per-link blackout) resolvable. Star sims leave this unset.
         core.shard_tier = Some((n + 1, k));
+        core.install_faults(fault_config, seed, proxy_id);
         TierSim {
             clients,
             proxy,
             shards,
             core,
         }
-    }
-
-    /// Like [`two_tier`](Self::two_tier), but with a fault plan layered
-    /// over every link; stall schedules target the proxy's application
-    /// thread. A fully disabled `FaultConfig` leaves the simulation
-    /// bit-identical to [`two_tier`](Self::two_tier).
-    #[allow(clippy::too_many_arguments)]
-    pub fn two_tier_with_faults(
-        clients: Vec<C>,
-        proxy: P,
-        shards: Vec<S>,
-        client_hosts: Vec<Host>,
-        proxy_host: Host,
-        shard_hosts: Vec<Host>,
-        client_link: LinkConfig,
-        shard_link: LinkConfig,
-        seed: u64,
-        fault_config: FaultConfig,
-    ) -> Self {
-        let mut sim = Self::two_tier(
-            clients,
-            proxy,
-            shards,
-            client_hosts,
-            proxy_host,
-            shard_hosts,
-            client_link,
-            shard_link,
-            seed,
-        );
-        let proxy_id = sim.proxy_id();
-        sim.core.install_faults(fault_config, seed, proxy_id);
-        sim
     }
 
     /// Invokes every application's `on_start` back-to-front: shards first

@@ -11,7 +11,7 @@ use e2e_batching::e2e_apps::{
     run_point, CostProfile, LancetClient, NagleSetting, RedisServer, RunConfig, WorkloadSpec,
 };
 use e2e_batching::littles::Nanos;
-use e2e_batching::simnet::{run, CpuContext, EventQueue, LinkConfig};
+use e2e_batching::simnet::{run, CpuContext, EventQueue, FaultConfig, LinkConfig};
 use e2e_batching::tcpsim::{Host, HostId, NetSim, TcpConfig};
 
 fn n16_cfg(nagle: NagleSetting) -> RunConfig {
@@ -112,13 +112,14 @@ fn invariant_gates_are_nonvacuous_on_all_16_connections() {
         tcp,
     );
 
-    let mut sim = NetSim::star(
+    let mut sim = NetSim::star_with_faults(
         clients,
         server,
         client_hosts,
         server_host,
         LinkConfig::default(),
         0x1617,
+        FaultConfig::default(),
     );
     let mut queue = EventQueue::new();
     sim.start(&mut queue);

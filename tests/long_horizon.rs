@@ -11,7 +11,7 @@ use e2e_batching::e2e_apps::driver::EstimateRecorder;
 use e2e_batching::e2e_apps::{CostProfile, LancetClient, RedisServer, WorkloadSpec};
 use e2e_batching::e2e_core::ValidateConfig;
 use e2e_batching::littles::Nanos;
-use e2e_batching::simnet::{run, CpuContext, EventQueue, LinkConfig};
+use e2e_batching::simnet::{run, CpuContext, EventQueue, FaultConfig, LinkConfig};
 use e2e_batching::tcpsim::config::ExchangeConfig;
 use e2e_batching::tcpsim::{Host, HostId, NetSim, TcpConfig, Unit};
 
@@ -59,13 +59,14 @@ fn estimator_and_validator_survive_u32_wire_clock_wrap() {
         tcp,
     );
 
-    let mut sim = NetSim::star(
+    let mut sim = NetSim::star_with_faults(
         vec![client],
         server,
         vec![client_host],
         server_host,
         LinkConfig::default(),
         0x73_317,
+        FaultConfig::default(),
     );
     let mut queue = EventQueue::new();
     sim.start(&mut queue);

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use e2e_batching::e2e_apps::{CostProfile, LancetClient, RedisServer, WorkloadSpec};
 use e2e_batching::littles::Nanos;
-use e2e_batching::simnet::{run, CpuContext, EventQueue, LinkConfig};
+use e2e_batching::simnet::{run, CpuContext, EventQueue, FaultConfig, LinkConfig};
 use e2e_batching::tcpsim::{Host, HostId, NagleMode, NetSim, TcpConfig};
 
 struct CountingAlloc;
@@ -99,13 +99,14 @@ fn allocated_per_run(value_size: usize, nagle: NagleMode) -> (u64, u64) {
         profile.server_stack,
         tcp,
     );
-    let mut sim = NetSim::star(
+    let mut sim = NetSim::star_with_faults(
         clients,
         RedisServer::new(profile.app),
         client_hosts,
         server_host,
         LinkConfig::default(),
         0xA110C,
+        FaultConfig::default(),
     );
     let mut queue = EventQueue::new();
     sim.start(&mut queue);

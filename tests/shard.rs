@@ -13,8 +13,8 @@ mod common;
 
 use e2e_batching::batchpolicy::{Objective, RetryConfig};
 use e2e_batching::e2e_apps::{
-    run_shard_point, CostProfile, LancetClient, ProxyApp, RedisServer, Resilience, ShardPointResult,
-    ShardRouter, ShardRunConfig, ShardSetting, WorkloadSpec,
+    run_failover_point, CostProfile, FailoverArm, FailoverPointResult, FailoverRunConfig,
+    LancetClient, ProxyApp, RedisServer, Resilience, ShardRouter, ShardSetting, WorkloadSpec,
 };
 use e2e_batching::littles::Nanos;
 use e2e_batching::simnet::{
@@ -25,15 +25,16 @@ use e2e_batching::tcpsim::{Host, HostId, TcpConfig, TierSim};
 
 use common::{check_or_bless, fmt_f64, fmt_ns};
 
-fn k4_cfg(setting: ShardSetting) -> ShardRunConfig {
-    ShardRunConfig {
+fn k4_cfg(setting: ShardSetting) -> FailoverRunConfig {
+    FailoverRunConfig {
         num_clients: 4,
         num_shards: 4,
         hot_fraction: 0.7,
         warmup: Nanos::from_millis(50),
         measure: Nanos::from_millis(150),
         seed: 0x5AAD_16,
-        ..ShardRunConfig::new(WorkloadSpec::shard(30_000.0), setting)
+        upstream: Some(setting),
+        ..FailoverRunConfig::new(WorkloadSpec::shard(30_000.0), FailoverArm::NoDefense, None)
     }
 }
 
@@ -41,13 +42,14 @@ fn k4_cfg(setting: ShardSetting) -> ShardRunConfig {
 fn k4_skewed_grid_replays_bit_identically() {
     for setting in [
         ShardSetting::Corner { nagle: false },
+        ShardSetting::Corner { nagle: true },
         ShardSetting::Adaptive {
             objective: Objective::MinLatency,
         },
     ] {
         let cfg = k4_cfg(setting);
-        let a = run_shard_point(&cfg);
-        let b = run_shard_point(&cfg);
+        let a = run_failover_point(&cfg);
+        let b = run_failover_point(&cfg);
 
         assert!(a.samples > 0, "run must carry traffic");
         assert_eq!(a.samples, b.samples);
@@ -72,7 +74,7 @@ fn fmt_opt_f64(v: Option<f64>) -> String {
 
 /// Two lines per run with every field of the result, floats by bit
 /// pattern; the hot-shard ranking gets its own line.
-fn digest_shard(label: &str, r: &ShardPointResult) -> String {
+fn digest_shard(label: &str, r: &FailoverPointResult) -> String {
     let list = |v: Vec<String>| v.join(",");
     format!(
         "{label} events={} samples={} offered={} achieved={} mean={} p50={} p99={} hot={} \
@@ -116,7 +118,7 @@ fn k4_runs_match_golden() {
             },
         ),
     ] {
-        digest += &digest_shard(label, &run_shard_point(&k4_cfg(setting)));
+        digest += &digest_shard(label, &run_failover_point(&k4_cfg(setting)));
     }
     check_or_bless(&digest, "tests/golden/shard_runner_digest.txt", "K = 4 shard runs");
 }
@@ -126,8 +128,8 @@ fn k4_runs_match_golden() {
 /// corners and the adaptive run are measuring the same offered traffic.
 #[test]
 fn all_arms_route_the_same_skew() {
-    let off = run_shard_point(&k4_cfg(ShardSetting::Corner { nagle: false }));
-    let adaptive = run_shard_point(&k4_cfg(ShardSetting::Adaptive {
+    let off = run_failover_point(&k4_cfg(ShardSetting::Corner { nagle: false }));
+    let adaptive = run_failover_point(&k4_cfg(ShardSetting::Adaptive {
         objective: Objective::MinLatency,
     }));
     assert_eq!(off.hot_shard, adaptive.hot_shard);
@@ -195,7 +197,7 @@ fn invariant_gates_are_nonvacuous_on_proxy_sockets() {
         })
         .collect();
 
-    let mut sim = TierSim::two_tier(
+    let mut sim = TierSim::two_tier_with_faults(
         clients,
         proxy,
         shards,
@@ -205,6 +207,7 @@ fn invariant_gates_are_nonvacuous_on_proxy_sockets() {
         LinkConfig::default(),
         LinkConfig::default(),
         0x5AAD,
+        FaultConfig::default(),
     );
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
