@@ -31,7 +31,7 @@
 //!   client's pipelined connection).
 
 use batchpolicy::{BreakerConfig, ControlPlane, EpsilonGreedy, Objective, RetryConfig, TickController};
-use e2e_core::ValidateConfig;
+use e2e_core::{AggregateEstimate, ValidateConfig};
 use littles::Nanos;
 use simnet::{
     run, CpuContext, EventQueue, FaultConfig, Histogram, LinkConfig, Pcg32, RestartSchedule,
@@ -329,6 +329,32 @@ fn fault_config(cfg: &FailoverRunConfig, hot_shard: usize, cold_shard: usize) ->
     }
 }
 
+/// Fraction of proxy ticks in `[from, to)` at which the hot shard's
+/// composed smoothed latency ranked strictly highest across shards. A
+/// shard's series starts at its first back-leg aggregate and skips ticks
+/// while its upstream is down, so the series are joined on the tick
+/// timestamp and only ticks that every shard reported count.
+fn hot_rank_fraction(
+    series: &[Vec<(Nanos, AggregateEstimate)>],
+    hot: usize,
+    from: Nanos,
+    to: Nanos,
+) -> Option<f64> {
+    let (mut ranked, mut total) = (0u64, 0u64);
+    'ticks: for (at, hot_est) in series[hot].iter().filter(|(at, _)| (from..to).contains(at)) {
+        let mut hottest = true;
+        for (j, s) in series.iter().enumerate() {
+            let Ok(i) = s.binary_search_by_key(at, |(t, _)| *t) else {
+                continue 'ticks;
+            };
+            hottest &= j == hot || s[i].1.smoothed_latency < hot_est.smoothed_latency;
+        }
+        total += 1;
+        ranked += u64::from(hottest);
+    }
+    (total > 0).then(|| ranked as f64 / total as f64)
+}
+
 /// Executes one two-tier experiment point.
 pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
     let n = cfg.num_clients;
@@ -550,27 +576,7 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
         })
         .collect();
 
-    // Rank the hot shard per estimation window. The per-shard series are
-    // produced by the same proxy tick, so entries align by timestamp;
-    // walk windows where every shard reported inside [from, to).
-    let hot_rank_fraction = {
-        let series: Vec<_> = (0..k).map(|j| &driver.shard_series[j]).collect();
-        let windows = series.iter().map(|s| s.len()).min().unwrap_or(0);
-        let mut ranked = 0u64;
-        let mut total = 0u64;
-        for w in 0..windows {
-            let at = series[0][w].0;
-            if at < from || at >= to {
-                continue;
-            }
-            total += 1;
-            let hot_latency = series[hot_shard][w].1.smoothed_latency;
-            if (0..k).all(|j| j == hot_shard || series[j][w].1.smoothed_latency < hot_latency) {
-                ranked += 1;
-            }
-        }
-        (total > 0).then(|| ranked as f64 / total as f64)
-    };
+    let hot_rank_fraction = hot_rank_fraction(&driver.shard_series, hot_shard, from, to);
 
     let stats = &sim.proxy.stats;
     let (retries, hedges, budget_denied) = sim
@@ -654,6 +660,39 @@ mod tests {
             assert!(r.shard_estimates.iter().all(|e| e.is_some()), "{upstream:?}");
             assert!(r.hot_rank_fraction.is_some(), "{upstream:?}");
         }
+    }
+
+    #[test]
+    fn hot_rank_joins_shards_on_the_tick_timestamp() {
+        let est = |us: u64| AggregateEstimate {
+            at: Nanos::ZERO,
+            latency: Nanos::from_micros(us),
+            smoothed_latency: Nanos::from_micros(us),
+            throughput: 1.0,
+            connections: 1,
+            confidence: 1.0,
+            stale_connections: 0,
+            components: Default::default(),
+        };
+        let ms = Nanos::from_millis;
+        // Ticks every 1 ms and every latency grows with time, the hot
+        // shard (1) always 5 µs above the cold ones at the same tick
+        // except at 8 ms. Cold shard 0's series starts a tick late and
+        // cold shard 2 misses the 5 ms tick (upstream down), so pairing
+        // by index would compare estimates from different ticks.
+        let series: Vec<Vec<(Nanos, AggregateEstimate)>> = vec![
+            (2..=9).map(|t| (ms(t), est(10 * t))).collect(),
+            (1..=9)
+                .map(|t| (ms(t), est(if t == 8 { 1 } else { 10 * t + 5 })))
+                .collect(),
+            (1..=9).filter(|&t| t != 5).map(|t| (ms(t), est(10 * t))).collect(),
+        ];
+        // Joint ticks 2, 3, 4, 6, 7, 8, 9: ranked at all but 8 ms.
+        assert_eq!(hot_rank_fraction(&series, 1, ms(1), ms(10)), Some(6.0 / 7.0));
+        // The window bounds the ticks: [from, to).
+        assert_eq!(hot_rank_fraction(&series, 1, ms(3), ms(8)), Some(1.0));
+        // No tick every shard reported: no ranking.
+        assert_eq!(hot_rank_fraction(&series, 1, ms(1), ms(2)), None);
     }
 
     #[test]
