@@ -792,10 +792,13 @@ impl SimCore {
         if !config.is_enabled() {
             return;
         }
-        let brownout = self.shard_tier.zip(config.shard.brownout).map(|((first, count), b)| {
-            assert!(b.shard < count, "brownout shard {} of {count}", b.shard);
-            (first + b.shard, b.windows)
-        });
+        let brownout = self
+            .shard_tier
+            .zip(config.shard.brownout)
+            .map(|((first, count), b)| {
+                assert!(b.shard < count, "brownout shard {} of {count}", b.shard);
+                (first + b.shard, b.windows)
+            });
         let stalls = config.server_stall.map(|s| (stall_on.index(), s));
         // Every target exists: `stall_on` is the constructor's own server
         // or proxy host, and the brownout shard was checked above.
@@ -1117,7 +1120,13 @@ impl<C: App, S: App> NetSim<C, S> {
         // Every host's plain connect() goes to the server (the server's
         // own self-entry is rejected by connect_to, as it should be).
         let default_peers = vec![server_id; n + 1];
-        let mut core = SimCore::new(hosts, Topology::star(n, link_config), default_peers, n, seed);
+        let mut core = SimCore::new(
+            hosts,
+            Topology::star(n, link_config),
+            default_peers,
+            n,
+            seed,
+        );
         core.install_faults(fault_config, seed, server_id);
         NetSim {
             clients,

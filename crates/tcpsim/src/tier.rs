@@ -107,7 +107,7 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
             let id = HostId::from_index(self.clients.len() + 1 + j);
             shard.on_start(&mut self.core.ctx(queue, id));
         }
-        let proxy_id = self.proxy_id();
+        let proxy_id = HostId::from_index(self.proxy_index());
         self.proxy.on_start(&mut self.core.ctx(queue, proxy_id));
         for (i, client) in self.clients.iter_mut().enumerate() {
             client.on_start(&mut self.core.ctx(queue, HostId::from_index(i)));
@@ -122,11 +122,6 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
     /// Number of shard hosts.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Id of the proxy host.
-    fn proxy_id(&self) -> HostId {
-        HostId::from_index(self.clients.len())
     }
 
     /// Index of the proxy host.

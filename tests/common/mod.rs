@@ -5,7 +5,7 @@
 //! files after an *intentional* behavior change:
 //!
 //! ```sh
-//! BLESS_GOLDEN=1 cargo test --test golden_n1 --test knobs
+//! BLESS_GOLDEN=1 cargo test --test golden_n1 --test knobs --test shard
 //! ```
 
 use e2e_batching::e2e_apps::runner::PointResult;

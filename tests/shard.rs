@@ -1,12 +1,17 @@
 //! Sharded-proxy acceptance: K = 4 shards behind a terminating proxy.
 //!
-//! Two gates from the two-tier PR live here: the skewed K = 4 grid must
-//! replay bit-identically across invocations (the whole two-tier event
-//! order — client arrivals, proxy re-framing, upstream flushes, per-shard
-//! plane decisions — hangs off one `(time, seq)` queue), and the
-//! proxy-side socket invariant ledgers must be demonstrably non-vacuous:
-//! every client-facing *and* upstream socket on the proxy booked real
-//! traffic in both directions.
+//! The skewed K = 4 runs of the two-tier runner's batching study must
+//! match a golden digest field for field and replay bit-identically
+//! across invocations (the whole two-tier event order — client arrivals,
+//! proxy re-framing, upstream flushes, per-shard plane decisions — hangs
+//! off one `(time, seq)` queue), and the proxy-side socket invariant
+//! ledgers must be demonstrably non-vacuous: every client-facing *and*
+//! upstream socket on the proxy booked real traffic in both directions.
+//! To regenerate the digest after an *intentional* behavior change:
+//!
+//! ```sh
+//! BLESS_GOLDEN=1 cargo test --test shard k4_runs_match_golden
+//! ```
 
 #[allow(dead_code)] // this binary digests shard results, not `PointResult`s
 mod common;
@@ -126,6 +131,8 @@ fn k4_runs_match_golden() {
 /// The skew is deterministic in the seed and independent of the upstream
 /// knob: every arm routes the same keys to the same shards, so the
 /// corners and the adaptive run are measuring the same offered traffic.
+/// Both serve it: every shard busy, every shard estimated, the hot one
+/// ranked.
 #[test]
 fn all_arms_route_the_same_skew() {
     let off = run_failover_point(&k4_cfg(ShardSetting::Corner { nagle: false }));
@@ -133,8 +140,18 @@ fn all_arms_route_the_same_skew() {
         objective: Objective::MinLatency,
     }));
     assert_eq!(off.hot_shard, adaptive.hot_shard);
-    // The hot shard leads in both arms and carries the configured skew.
     for r in [&off, &adaptive] {
+        assert!(r.samples > 500, "only {} samples", r.samples);
+        assert!(r.achieved_rps > 0.5 * r.offered_rps);
+        assert!(
+            r.per_shard_requests.iter().all(|&c| c > 0),
+            "idle shard: {:?}",
+            r.per_shard_requests
+        );
+        assert_eq!(r.shard_on_fraction.len(), 4);
+        assert!(r.shard_estimates.iter().all(Option::is_some));
+        assert!(r.hot_rank_fraction.is_some());
+        // The hot shard leads and carries the configured skew.
         let total: u64 = r.per_shard_requests.iter().sum();
         let hot = r.per_shard_requests[r.hot_shard];
         assert!(
