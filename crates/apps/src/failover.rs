@@ -163,10 +163,10 @@ pub struct FailoverRunConfig {
     /// draw from `fault.restart`, shard-crash victims from
     /// `fault.shard_crash` — composing the two shifts neither stream.
     pub client_restart: Option<RestartSchedule>,
-    /// Upstream batching under study. `None` pins every upstream
-    /// `TCP_NODELAY` with the planes scoring `MinLatency` (inert on the
-    /// pinned sockets), so defense arms compare on identical transport
-    /// behaviour.
+    /// Upstream batching under study. `None` is the failover study: every
+    /// upstream pinned `TCP_NODELAY` with the planes scoring `MinLatency`
+    /// (inert on the pinned sockets), so defense arms compare on identical
+    /// transport behaviour, and skew drawn from its own stream.
     pub upstream: Option<ShardSetting>,
 }
 
@@ -268,9 +268,10 @@ pub struct FailoverPointResult {
     /// the whole run including warmup — the ground truth behind the
     /// back-leg estimates.
     pub shard_rtt_p99: Vec<Option<Nanos>>,
-    /// Fraction of estimation windows in which the hot shard's composed
-    /// estimate ranked highest across shards — the "can the estimate
-    /// find the hot shard" acceptance metric.
+    /// Fraction of proxy ticks in the measurement window, among those
+    /// every shard reported, at which the hot shard's composed estimate
+    /// ranked highest — the "can the estimate find the hot shard"
+    /// acceptance metric.
     pub hot_rank_fraction: Option<f64>,
     /// Fraction of plane decisions with batching on, per shard
     /// (meaningful for [`ShardSetting::Adaptive`]; the planes still run,
